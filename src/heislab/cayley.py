@@ -1,11 +1,12 @@
 """Cayley-graph computations: balls, word distances, growth tables.
 
 The graph has the 4k standard generators as edge moves, acting by right
-multiplication.  Frontier expansion is vectorized: a level is a set of
-coordinate rows (x_1..x_k, y_1..y_k, w), neighbors are computed per
-generator by column arithmetic, and dedup/visited tests run on packed
-int64 keys.  Everything is deterministic; members are reported in
-lexicographic coordinate order.
+multiplication.  Frontier expansion is vectorized: a level is a block of
+coordinate rows (x_1..x_k, y_1..y_k, w), neighbors come from
+perimeter.generator_step, and dedup/visited tests run on packed int64
+keys over the search window.  A finished ball is a perimeter.FiniteSet
+with a distance per row, so members are reported in lexicographic
+coordinate order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .group import DiscreteElement, identity
+from .perimeter import FiniteSet, _pack, check_key_window, generator_step
 
 
 def _estimated_ball_bytes(k: int, r: int) -> int:
@@ -26,37 +28,6 @@ def _estimated_ball_bytes(k: int, r: int) -> int:
     return members * 8 * (2 * k + 3)
 
 
-def _pack(coords: np.ndarray, lows: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Mixed-radix packing of coordinate rows into int64 keys.
-
-    Key order equals lexicographic coordinate order as long as every
-    row sits inside [lows, lows + spans).
-    """
-    key = np.zeros(len(coords), dtype=np.int64)
-    for j in range(coords.shape[1]):
-        key = key * spans[j] + (coords[:, j] - lows[j])
-    return key
-
-
-def _neighbor_blocks(k: int, coords: np.ndarray) -> np.ndarray:
-    """All right-multiplied neighbors, stacked move by move.
-
-    Moves follow the canonical generator order of group.generators.
-    a_i^s shifts x_i by s; b_i^s shifts y_i by s and w by s * x_i.
-    """
-    blocks = []
-    for sign in (1, -1):
-        for i in range(k):
-            blk = coords.copy()
-            blk[:, i] += sign
-            blocks.append(blk)
-            blk = coords.copy()
-            blk[:, k + i] += sign
-            blk[:, 2 * k] += sign * coords[:, i]
-            blocks.append(blk)
-    return np.concatenate(blocks, axis=0)
-
-
 class _Side:
     """One direction of a (possibly bidirectional) BFS."""
 
@@ -64,8 +35,7 @@ class _Side:
         self.k = k
         self.lows = np.asarray(lows, dtype=np.int64)
         self.spans = np.asarray(spans, dtype=np.int64)
-        if int(np.prod(self.spans.astype(object))) >= (1 << 63):
-            raise ResourceCapError("BFS coordinate window does not fit packed keys")
+        check_key_window(self.spans)
         self.frontier = np.array([start.coords()], dtype=np.int64)
         self.levels = [self.frontier]
         self.radius = 0
@@ -77,7 +47,9 @@ class _Side:
         """Advance one level; returns the packed keys of the new frontier."""
         if len(self.frontier) == 0:
             return np.empty(0, dtype=np.int64)
-        nbrs = _neighbor_blocks(self.k, self.frontier)
+        nbrs = np.concatenate(
+            [generator_step(self.k, self.frontier, j) for j in range(4 * self.k)]
+        )
         keys = _pack(nbrs, self.lows, self.spans)
         keys, first = np.unique(keys, return_index=True)
         nbrs = nbrs[first]
@@ -110,19 +82,20 @@ class _Side:
 
 @dataclass
 class Ball:
-    """Word-metric ball: coordinate rows with distances, sorted lexicographically."""
+    """Word-metric ball: its points as a FiniteSet, with the distance of each row."""
 
     k: int
     radius: int
-    coords: np.ndarray
+    points: FiniteSet
     dists: np.ndarray
-    _keys: np.ndarray
-    _lows: np.ndarray
-    _spans: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.coords)
+        return self.points.size
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self.points.rows
 
     def counts(self) -> np.ndarray:
         """counts[r] = number of elements at distance exactly r."""
@@ -130,22 +103,11 @@ class Ball:
 
     def distance(self, el: DiscreteElement):
         """d_W(1, el) if el lies in the ball, else None."""
-        row = np.asarray([el.coords()], dtype=np.int64)
-        if np.any(row[0] < self._lows) or np.any(
-            row[0] >= self._lows + self._spans
-        ):
-            return None
-        key = _pack(row, self._lows, self._spans)[0]
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < len(self._keys) and self._keys[pos] == key:
-            return int(self.dists[pos])
-        return None
-
-    def __contains__(self, el: DiscreteElement) -> bool:
-        return self.distance(el) is not None
+        pos = int(self.points.locate(np.array([el.coords()], dtype=np.int64))[0])
+        return None if pos < 0 else int(self.dists[pos])
 
     def elements(self):
-        for row, d in zip(self.coords, self.dists):
+        for row, d in zip(self.points.rows, self.dists):
             yield element_from_row(self.k, row), int(d)
 
 
@@ -175,12 +137,10 @@ def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
             raise ResourceCapError("memory cap exceeded during ball BFS")
         side.expand()
     coords = np.concatenate(side.levels, axis=0)
-    dists = np.concatenate(
-        [np.full(len(lv), d, dtype=np.int64) for d, lv in enumerate(side.levels)]
-    )
-    keys = _pack(coords, side.lows, side.spans)
-    order = np.argsort(keys)
-    return Ball(k, r, coords[order], dists[order], keys[order], side.lows, side.spans)
+    dists = np.repeat(np.arange(len(side.levels)), [len(lv) for lv in side.levels])
+    # key order is lexicographic order, which FiniteSet keeps for sorted rows
+    order = np.argsort(_pack(coords, side.lows, side.spans))
+    return Ball(k, r, FiniteSet(k, coords[order]), dists[order])
 
 
 def growth_table(k: int, r_max: int, mem_cap_mib: float = 4096.0):

@@ -47,7 +47,6 @@ from .lines import interval_histogram, nonmonotonicity
 from .perimeter import (
     default_corpus,
     horizontal_perimeter,
-    isoperimetric_ratio,
     parse_set_spec,
     vertical_perimeter,
     vertical_spectrum,
@@ -129,10 +128,9 @@ def cmd_growth(args) -> int:
 # -- isoperim ----------------------------------------------------------------
 
 
-def _lq_head(S, q: float) -> float:
+def _lq_head(spec, q: float) -> float:
     # head terms only: the flat 2|S| tail is dropped, so this is a lower
     # bound for q > 1 and is reported as exploratory
-    spec = vertical_spectrum(S)
     total = sum((float(c) / t) ** q for t, c in enumerate(spec.head.tolist(), 1))
     return total ** (1.0 / q)
 
@@ -156,11 +154,12 @@ def cmd_isoperim(args) -> int:
     worst = (0.0, "", "")
     for set_id, spec, S in entries:
         h = horizontal_perimeter(S)
-        v, verr = vertical_perimeter(S)
-        ratio, _ = isoperimetric_ratio(S)
+        vspec = vertical_spectrum(S)
+        v, verr = vspec.perimeter()
+        ratio = v / h
         row = [set_id, f'"{spec}"', str(S.size), str(h), _F(v), _F(verr), _F(ratio)]
         if args.lq is not None:
-            row.append(_F(_lq_head(S, args.lq)))
+            row.append(_F(_lq_head(vspec, args.lq)))
         rows.append(row)
         if ratio > worst[0]:
             worst = (ratio, set_id, spec)
@@ -177,10 +176,9 @@ def cmd_isoperim(args) -> int:
         )
     )
 
-    if len(entries) == 1:
-        spec = vertical_spectrum(entries[0][2])
-        srows = [[str(t), str(int(c))] for t, c in enumerate(spec.head.tolist(), 1)]
-        srows.append(["tail", _F(spec.tail_sq)])
+    if len(entries) == 1:  # vspec is still the one set's spectrum
+        srows = [[str(t), str(int(c))] for t, c in enumerate(vspec.head.tolist(), 1)]
+        srows.append(["tail", _F(vspec.tail_sq)])
         files.append(_write_csv(out / "spectrum.csv", "t,count", srows))
 
     params = {

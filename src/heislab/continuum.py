@@ -414,15 +414,13 @@ def voxelize(
         )
         for i in range(n_blocks)
     ]
-    members = []
-    for part in block_map(_voxel_block, payloads, workers):
-        members.extend(part)
-    if not members:
+    members = np.concatenate(block_map(_voxel_block, payloads, workers))
+    if len(members) == 0:
         raise ValidationError("no cell reached majority; decrease the voxel scale")
     return FiniteSet(k, members)
 
 
-def _voxel_block(payload) -> list:
+def _voxel_block(payload) -> np.ndarray:
     region, h, samples_per_cell, seed, start, cells = payload
     k = region.k
     m = len(cells)
@@ -441,5 +439,4 @@ def _voxel_block(payload) -> list:
         [h * px, h * py, (h * h * pz)[:, :, None]], axis=2
     ).reshape(m * spc, dim)
     inside = region.contains(pts).reshape(m, spc).sum(axis=1)
-    keep = 2 * inside > spc
-    return [tuple(int(v) for v in row) for row in cells[keep]]
+    return cells[2 * inside > spc]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cayley import ball
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .group import DiscreteElement
 from .rng import Rng
 from .simplex import solve_lp
@@ -372,7 +372,7 @@ def c1_distortion(ms: MetricSpace, refine: bool | None = None) -> DistortionRepo
 
     res = solve_lp(c, A, b, senses, refine=refine)
     if res.status != "optimal":
-        raise ValidationError(f"distortion LP ended with status {res.status}")
+        raise ConvergenceError(f"distortion LP ended with status {res.status}")
 
     entries = [
         (int(masks[j]), float(res.x[j]))

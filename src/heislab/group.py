@@ -140,28 +140,6 @@ def generators(k: int) -> tuple:
     return tuple(gens)
 
 
-def pack_key(el: DiscreteElement) -> bytes:
-    """Fixed-width byte key, lexicographic in field order (x, y, w).
-
-    Each signed coordinate is offset by 2^63 and stored big-endian, so
-    byte order agrees with numeric order coordinate by coordinate.
-    """
-    out = bytearray()
-    for v in el.coords():
-        out += (_chk(v) + (1 << 63)).to_bytes(8, "big")
-    return bytes(out)
-
-
-def unpack_key(k: int, key: bytes) -> DiscreteElement:
-    if len(key) != 8 * (2 * k + 1):
-        raise ValueError("key length does not match rank")
-    vals = [
-        int.from_bytes(key[8 * i : 8 * (i + 1)], "big") - (1 << 63)
-        for i in range(2 * k + 1)
-    ]
-    return DiscreteElement(k, tuple(vals[:k]), tuple(vals[k : 2 * k]), vals[2 * k])
-
-
 @dataclass(frozen=True, slots=True)
 class ContinuousPoint:
     """Point (x, y, z) of the rank-k continuous group, exponential chart."""

@@ -1,5 +1,11 @@
 """Horizontal and vertical perimeters of finite lattice sets.
 
+A finite set is kept as lexicographically sorted, unique coordinate rows
+(x_1..x_k, y_1..y_k, w) together with their mixed-radix int64 keys over
+the set's own bounding window, so looking up a block of rows is one
+``searchsorted``.  ``generator_step`` is the generator action on such
+blocks: it right-multiplies every row by one standard generator.
+
 A finite set Omega splits into columns: fibers over the horizontal
 coordinates (x, y), each a finite set of w-values.  The horizontal
 boundary counts ordered pairs (g, g') with g in Omega, g' outside, and
@@ -24,20 +30,50 @@ from math import fsum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .group import DiscreteElement
 from .rng import Rng
 
 _EPS = 2.0 ** -52
 
 
-def coord_tuple(el: DiscreteElement) -> tuple:
-    return el.coords()
+def check_key_window(spans) -> None:
+    """Refuse a coordinate window whose packed keys would not fit int64."""
+    if math.prod(int(s) for s in spans) >= 1 << 63:
+        raise ResourceCapError("coordinate window does not fit packed keys")
 
 
-def neighbor_tuples(k: int, t: tuple):
-    """Right-multiplied neighbors of a flat coordinate tuple, in the
-    canonical generator order (a_1, b_1, ..., then inverses)."""
+def _pack(coords: np.ndarray, lows: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Mixed-radix packing of coordinate rows into int64 keys.
+
+    Key order equals lexicographic coordinate order as long as every
+    row sits inside [lows, lows + spans).
+    """
+    key = np.zeros(len(coords), dtype=np.int64)
+    for j in range(coords.shape[1]):
+        key = key * spans[j] + (coords[:, j] - lows[j])
+    return key
+
+
+def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
+    """Rows right-multiplied by generator j of group.generators(k).
+
+    a_i^s shifts x_i by s; b_i^s shifts y_i by s and w by s * x_i.
+    """
+    sign = 1 if j < 2 * k else -1
+    i, is_b = divmod(j % (2 * k), 2)
+    out = rows.copy()
+    if is_b:
+        out[:, k + i] += sign
+        out[:, 2 * k] += sign * rows[:, i]
+    else:
+        out[:, i] += sign
+    return out
+
+
+def _neighbor_tuples(k: int, t: tuple):
+    """generator_step for one coordinate tuple, all 4k moves in order;
+    the scalar form keeps random_blob's one-at-a-time growth cheap."""
     w = t[2 * k]
     for sign in (1, -1):
         for i in range(k):
@@ -51,75 +87,83 @@ def neighbor_tuples(k: int, t: tuple):
 
 
 class FiniteSet:
-    """Finite subset of the rank-k lattice, stored as coordinate tuples."""
+    """Finite subset of the rank-k lattice: sorted unique rows plus keys.
+
+    Members may be given as coordinate tuples, DiscreteElements or an
+    integer array of rows.
+    """
 
     def __init__(self, k: int, members):
         self.k = k
-        mem = set()
-        for m in members:
-            if isinstance(m, DiscreteElement):
-                if m.k != k:
-                    raise ValidationError("element rank mismatch")
-                mem.add(m.coords())
-            else:
-                t = tuple(int(v) for v in m)
-                if len(t) != 2 * k + 1:
+        if not isinstance(members, np.ndarray):
+            coords = []
+            for m in members:
+                if isinstance(m, DiscreteElement):
+                    if m.k != k:
+                        raise ValidationError("element rank mismatch")
+                    m = m.coords()
+                elif len(m) != 2 * k + 1:
                     raise ValidationError("coordinate tuple length mismatch")
-                mem.add(t)
-        if not mem:
+                coords.append(m)
+            members = np.array(coords, dtype=np.int64).reshape(-1, 2 * k + 1)
+        rows = np.asarray(members, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != 2 * k + 1:
+            raise ValidationError("coordinate row length mismatch")
+        if len(rows) == 0:
             raise ValidationError("finite set must be nonempty")
-        self.members = frozenset(mem)
-        self._columns = None
+        self._lows = rows.min(axis=0)
+        self._highs = rows.max(axis=0)
+        spans = [int(h) - int(lo) + 1 for lo, h in zip(self._lows, self._highs)]
+        check_key_window(spans)
+        self._spans = np.array(spans, dtype=np.int64)
+        keys = _pack(rows, self._lows, self._spans)
+        if not np.all(keys[1:] > keys[:-1]):  # most callers pass sorted rows
+            keys, first = np.unique(keys, return_index=True)
+            rows = rows[first]
+        self.keys, self.rows = keys, rows
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
-    def __contains__(self, t) -> bool:
-        if isinstance(t, DiscreteElement):
-            t = t.coords()
-        return t in self.members
+    def __iter__(self):
+        """Members as coordinate tuples, in lexicographic order."""
+        return map(tuple, self.rows.tolist())
 
-    def sorted_members(self):
-        return sorted(self.members)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteSet):
+            return NotImplemented
+        return self.k == other.k and np.array_equal(self.rows, other.rows)
 
-    def columns(self) -> dict:
-        """Map (x, y) -> sorted numpy array of member w-values."""
-        if self._columns is None:
-            cols: dict = {}
-            for t in self.members:
-                cols.setdefault(t[: 2 * self.k], []).append(t[2 * self.k])
-            self._columns = {
-                xy: np.array(sorted(ws), dtype=np.int64) for xy, ws in cols.items()
-            }
-        return self._columns
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row in self.rows, or -1 where it is not a member."""
+        inside = np.all((rows >= self._lows) & (rows <= self._highs), axis=1)
+        keys = _pack(rows[inside], self._lows, self._spans)
+        at = np.minimum(np.searchsorted(self.keys, keys), self.size - 1)
+        hit = self.keys[at] == keys
+        pos = np.full(len(rows), -1, dtype=np.int64)
+        pos[np.flatnonzero(inside)[hit]] = at[hit]
+        return pos
 
-    def column_span(self) -> int:
-        return max(int(ws[-1] - ws[0]) for ws in self.columns().values())
-
-    def bbox(self):
-        rows = np.array(self.sorted_members(), dtype=np.int64)
-        return rows.min(axis=0), rows.max(axis=0)
+    def columns(self) -> list:
+        """Sorted w-values of each column, as slices of the sorted rows."""
+        xy = self.rows[:, : 2 * self.k]
+        cuts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
+        return np.split(self.rows[:, 2 * self.k], cuts)
 
     def embedded(self, k_new: int) -> "FiniteSet":
         """The same set inside a higher-rank lattice (new coordinates 0)."""
         if k_new < self.k:
             raise ValidationError("can only embed into larger rank")
-        pad = (0,) * (k_new - self.k)
-        return FiniteSet(
-            k_new,
-            [
-                t[: self.k] + pad + t[self.k : 2 * self.k] + pad + (t[2 * self.k],)
-                for t in self.members
-            ],
-        )
+        k, r = self.k, self.rows
+        pad = np.zeros((self.size, k_new - k), dtype=np.int64)
+        rows = np.hstack([r[:, :k], pad, r[:, k : 2 * k], pad, r[:, 2 * k :]])
+        return FiniteSet(k_new, rows)
 
     def to_lines(self):
-        for t in self.sorted_members():
-            el = DiscreteElement(
-                self.k, t[: self.k], t[self.k : 2 * self.k], t[2 * self.k]
-            )
-            yield el.to_text()
+        k = self.k
+        for t in self:
+            yield DiscreteElement(k, t[:k], t[k : 2 * k], t[2 * k]).to_text()
 
     @staticmethod
     def from_lines(lines) -> "FiniteSet":
@@ -131,36 +175,10 @@ class FiniteSet:
 
 def horizontal_perimeter(S: FiniteSet) -> int:
     """|bd_h S|: ordered pairs leaving S along one generator step."""
-    count = 0
-    members = S.members
-    for t in members:
-        for nb in neighbor_tuples(S.k, t):
-            if nb not in members:
-                count += 1
-    return count
-
-
-def vertical_t_count(S: FiniteSet, t: int) -> int:
-    """|bd_v^t S| by the column-gap formula 2(|S| - #{w in S : w + t in S})."""
-    if t < 1:
-        raise ValidationError("vertical jump must be >= 1")
-    matches = 0
-    for ws in S.columns().values():
-        matches += int(np.intersect1d(ws + t, ws, assume_unique=True).size)
-    return 2 * (S.size - matches)
-
-
-def vertical_t_count_direct(S: FiniteSet, t: int) -> int:
-    """|bd_v^t S| counted pair by pair over memberships (independent route)."""
-    count = 0
-    for tup in S.members:
-        up = tup[: 2 * S.k] + (tup[2 * S.k] + t,)
-        dn = tup[: 2 * S.k] + (tup[2 * S.k] - t,)
-        if up not in S.members:
-            count += 1
-        if dn not in S.members:
-            count += 1
-    return count
+    return sum(
+        int(np.count_nonzero(S.locate(generator_step(S.k, S.rows, j)) < 0))
+        for j in range(4 * S.k)
+    )
 
 
 _BITSET_SPAN_CAP = 1 << 16
@@ -185,6 +203,17 @@ class VerticalSpectrum:
             return int(self.head[t - 1])
         return 2 * self.size
 
+    def perimeter(self):
+        """(value, error_bound) for the l2 vertical perimeter."""
+        head_sq = fsum(
+            (float(c) / t) ** 2 for t, c in enumerate(self.head.tolist(), start=1)
+        )
+        total = head_sq + self.tail_sq
+        value = math.sqrt(total)
+        err_sq = self.tail_err + 4.0 * _EPS * total
+        err = err_sq / (2.0 * value) if value > 0 else 0.0
+        return value, err
+
 
 def _column_counts(ws: np.ndarray, T0: int) -> np.ndarray:
     """Per-column |{w in S: w+t not in S}| + |{w: w-t not in S}| for t=1..span."""
@@ -207,10 +236,10 @@ def _column_counts(ws: np.ndarray, T0: int) -> np.ndarray:
 
 def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
     cols = S.columns()
-    T0 = S.column_span()
+    T0 = max(int(ws[-1] - ws[0]) for ws in cols)
     head = np.zeros(T0, dtype=np.int64)
     plateau = np.zeros(T0 + 1, dtype=np.int64)  # suffix-add via diff array
-    for ws in cols.values():
+    for ws in cols:
         span = int(ws[-1] - ws[0])
         if span > 0:
             head[:span] += _column_counts(ws, T0)
@@ -247,24 +276,7 @@ def _tail_sq(size: int, T0: int):
 
 def vertical_perimeter(S: FiniteSet):
     """(value, error_bound) for the l2 vertical perimeter of S."""
-    spec = vertical_spectrum(S)
-    head_sq = fsum(
-        (float(c) / t) ** 2 for t, c in enumerate(spec.head.tolist(), start=1)
-    )
-    total = head_sq + spec.tail_sq
-    value = math.sqrt(total)
-    err_sq = spec.tail_err + 4.0 * _EPS * total
-    err = err_sq / (2.0 * value) if value > 0 else 0.0
-    return value, err
-
-
-def isoperimetric_ratio(S: FiniteSet):
-    """(vperim / hperim, error_bound)."""
-    h = horizontal_perimeter(S)
-    if h == 0:
-        raise ValidationError("horizontal perimeter is zero")
-    v, verr = vertical_perimeter(S)
-    return v / h, verr / h
+    return vertical_spectrum(S).perimeter()
 
 
 # --- set generators ----------------------------------------------------
@@ -274,29 +286,22 @@ def box_set(k: int, a: int, b: int, h: int) -> FiniteSet:
     """x_i in [0, a), y_i in [0, b), w in [0, h); a^k b^k h elements."""
     if min(a, b, h) < 1:
         raise ValidationError("box dimensions must be positive")
-    import itertools
-
-    members = [
-        xs + ys + (w,)
-        for xs in itertools.product(range(a), repeat=k)
-        for ys in itertools.product(range(b), repeat=k)
-        for w in range(h)
-    ]
-    return FiniteSet(k, members)
+    dims = (a,) * k + (b,) * k + (h,)
+    return FiniteSet(k, np.indices(dims, dtype=np.int64).reshape(2 * k + 1, -1).T)
 
 
 def ball_set(k: int, r: int, mem_cap_mib: float = 4096.0) -> FiniteSet:
     from .cayley import ball
 
-    b = ball(k, r, mem_cap_mib)
-    return FiniteSet(k, [tuple(int(v) for v in row) for row in b.coords])
+    return ball(k, r, mem_cap_mib).points
 
 
 def column_set(k: int, height: int) -> FiniteSet:
     if height < 1:
         raise ValidationError("column height must be positive")
-    zero = (0,) * (2 * k)
-    return FiniteSet(k, [zero + (w,) for w in range(height)])
+    rows = np.zeros((height, 2 * k + 1), dtype=np.int64)
+    rows[:, 2 * k] = np.arange(height)
+    return FiniteSet(k, rows)
 
 
 def random_blob(k: int, size: int, seed: int) -> FiniteSet:
@@ -314,14 +319,14 @@ def random_blob(k: int, size: int, seed: int) -> FiniteSet:
 
     start = (0,) * (2 * k + 1)
     members = {start}
-    frontier = deque(neighbor_tuples(k, start))
+    frontier = deque(_neighbor_tuples(k, start))
     while len(members) < size:
         cand = frontier.popleft()
         if cand in members:
             continue
         if rng.uniform() < 0.7:
             members.add(cand)
-            for nb in neighbor_tuples(k, cand):
+            for nb in _neighbor_tuples(k, cand):
                 if nb not in members:
                     frontier.append(nb)
         else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 
 import numpy as np
@@ -30,8 +31,8 @@ from .perimeter import (
     FiniteSet,
     _psi1_exact,
     _EPS,
+    generator_step,
     horizontal_perimeter,
-    neighbor_tuples,
     vertical_perimeter,
 )
 from .rng import Rng
@@ -77,6 +78,20 @@ class LatticeFunction:
     def support(self):
         return self.values.keys()
 
+    @cached_property
+    def support_set(self):
+        """(the support as a FiniteSet, the values aligned with its rows)."""
+        S = FiniteSet(self.k, list(self.values))
+        return S, np.array([self.values[t] for t in S], dtype=float)
+
+    def at(self, rows: np.ndarray) -> np.ndarray:
+        """Values at a block of coordinate rows, zero off the support."""
+        S, vals = self.support_set
+        pos = S.locate(rows)
+        out = vals[pos]
+        out[pos < 0] = 0.0
+        return out
+
     def is_integer_valued(self) -> bool:
         if self.vdim is not None:
             return False
@@ -84,7 +99,7 @@ class LatticeFunction:
 
     @staticmethod
     def indicator(S: FiniteSet) -> "LatticeFunction":
-        return LatticeFunction(S.k, {t: 1 for t in S.members})
+        return LatticeFunction(S.k, {t: 1 for t in S})
 
     @staticmethod
     def stacked(*funcs: "LatticeFunction") -> "LatticeFunction":
@@ -106,7 +121,7 @@ class LatticeFunction:
         if lo == hi == 0:
             raise ValidationError("value range admits only the zero function")
         rng = Rng(seed)
-        members = S.sorted_members()
+        members = list(S)
         draws = rng.integers(len(members), hi - lo + 1) + lo
         vals = {t: int(d) for t, d in zip(members, draws) if d != 0}
         if not vals:
@@ -164,19 +179,24 @@ def poincare_sides(phi: LatticeFunction) -> PoincareSides:
 
 def poincare_rhs(phi: LatticeFunction, indices=None) -> float:
     """sum_h sum_s |phi(h s) - phi(h)|, optionally over the generator
-    subfamily {a_i, b_i : i in indices} (1-based)."""
+    subfamily {a_i, b_i : i in indices} (1-based).
+
+    Both families are closed under inverses, so a pair (h, h s) with only
+    h s in the support counts as (h s, s^-1) does, and the sum runs over
+    the support alone: each h and s add |phi(h s) - phi(h)| when h s is in
+    the support and 2 |phi(h)| when it is not.
+    """
     k = phi.k
-    window = set(phi.support())
-    for t in list(window):
-        window.update(neighbor_tuples(k, t))
+    S, vals = phi.support_set
     keep = None if indices is None else {int(i) - 1 for i in indices}
     total = 0.0
-    for h in window:
-        vh = phi.value(h)
-        for j, nb in enumerate(neighbor_tuples(k, h)):
-            if keep is not None and (j % (2 * k)) // 2 not in keep:
-                continue
-            total += _l1(phi.value(nb) - vh)
+    for j in range(4 * k):
+        if keep is not None and (j % (2 * k)) // 2 not in keep:
+            continue
+        pos = S.locate(generator_step(k, S.rows, j))
+        out = pos < 0
+        total += float(np.abs(vals[pos[~out]] - vals[~out]).sum())
+        total += 2.0 * float(np.abs(vals[out]).sum())
     return total
 
 
@@ -200,12 +220,11 @@ class CoareaReport:
         return self.rhs_total == self.rhs_levels
 
 
-def _level_members(vals: dict, u: int) -> list:
+def _level_rows(phi: LatticeFunction, u: int) -> np.ndarray:
     # finite representative of {phi < u}: against the zero background the
     # set is co-finite for u > 0, so the complement {phi >= u} stands in
-    if u <= 0:
-        return [t for t, v in vals.items() if v < u]
-    return [t for t, v in vals.items() if v >= u]
+    S, vals = phi.support_set
+    return S.rows[vals < u] if u <= 0 else S.rows[vals >= u]
 
 
 def sublevel_set(phi: LatticeFunction, u: int) -> FiniteSet:
@@ -218,28 +237,27 @@ def sublevel_set(phi: LatticeFunction, u: int) -> FiniteSet:
     """
     if not phi.is_integer_valued():
         raise ValidationError("sublevel sets require integer-valued phi")
-    vals = {t: int(v) for t, v in phi.values.items()}
-    members = _level_members(vals, u)
-    if not members:
+    rows = _level_rows(phi, u)
+    if len(rows) == 0:
         raise ValidationError("level set is empty")
-    return FiniteSet(phi.k, members)
+    return FiniteSet(phi.k, rows)
 
 
 def coarea(phi: LatticeFunction) -> CoareaReport:
     """Sublevel decomposition of both sides for integer-valued phi."""
     if not phi.is_integer_valued():
         raise ValidationError("coarea identity requires integer-valued phi")
-    vals = {t: int(v) for t, v in phi.values.items()}
-    lo = min(0, min(vals.values()))
-    hi = max(0, max(vals.values()))
+    _, vals = phi.support_set
+    lo = min(0, int(vals.min()))
+    hi = max(0, int(vals.max()))
     levels = []
     rhs_sum = 0
     lhs_sum = 0.0
     for u in range(lo + 1, hi + 1):
-        finite = _level_members(vals, u)
-        if not finite:
+        rows = _level_rows(phi, u)
+        if len(rows) == 0:
             continue
-        F = FiniteSet(phi.k, finite)
+        F = FiniteSet(phi.k, rows)
         rhs_u = 2 * horizontal_perimeter(F)
         lhs_u, _ = vertical_perimeter(F)
         levels.append(CoareaLevel(u, rhs_u, lhs_u))
@@ -267,37 +285,37 @@ def local_poincare(
     Ball membership for the rhs window is certified by word-length
     bounds where possible and by exact bidirectional distance otherwise.
     """
-    from .cayley import ball, word_distance, word_upper_bound
-    from .group import DiscreteElement
+    from .cayley import ball, element_from_row, word_distance, word_upper_bound
 
     if n < 1:
         raise ValidationError("localization radius must be >= 1")
     k = phi.k
-    Bn = ball(k, n, mem_cap_mib)
+    Bn = ball(k, n, mem_cap_mib).points.rows
+    vB = phi.at(Bn)
     A = [0.0] * (n * n + 1)
-    for row in Bn.coords:
-        h = tuple(int(v) for v in row)
-        vh = phi.value(h)
-        for t in range(1, n * n + 1):
-            up = h[: 2 * k] + (h[2 * k] + t,)
-            A[t] += _l1(phi.value(up) - vh)
+    up = Bn.copy()
+    for t in range(1, n * n + 1):
+        up[:, 2 * k] += 1
+        A[t] = float(np.abs(phi.at(up) - vB).sum())
     lhs = math.sqrt(fsum((A[t] / t) ** 2 for t in range(1, n * n + 1)))
 
     R = math.ceil(alpha * n)
-    window = set(phi.support())
-    for t in list(window):
-        window.update(neighbor_tuples(k, t))
+    S, _ = phi.support_set
+    moves = range(4 * k)
+    window = FiniteSet(
+        k, np.concatenate([S.rows] + [generator_step(k, S.rows, j) for j in moves])
+    )
+
+    def in_ball(h: list) -> bool:
+        el = element_from_row(k, h)
+        return word_upper_bound(el) <= R or word_distance(el, R, mem_cap_mib) is not None
+
+    near = window.rows[np.abs(window.rows[:, : 2 * k]).sum(axis=1) <= R]
+    rows = near[[in_ball(h) for h in near.tolist()]]
+    vh = phi.at(rows)
     rhs = 0.0
-    for h in window:
-        el = DiscreteElement(k, h[:k], h[k : 2 * k], h[2 * k])
-        horiz = sum(abs(v) for v in h[: 2 * k])
-        if horiz > R:
-            continue
-        if word_upper_bound(el) > R and word_distance(el, R, mem_cap_mib) is None:
-            continue
-        vh = phi.value(h)
-        for nb in neighbor_tuples(k, h):
-            rhs += _l1(phi.value(nb) - vh)
+    for j in moves:
+        rhs += float(np.abs(phi.at(generator_step(k, rows, j)) - vh).sum())
     return LocalSides(lhs, rhs, n, alpha)
 
 
@@ -314,11 +332,11 @@ def coset_partition(A, S: FiniteSet) -> dict:
     if not idx or idx[0] < 1 or idx[-1] > k:
         raise ValidationError("A must be a nonempty subset of 1..k")
     outside = [j for j in range(k) if (j + 1) not in idx]
+    m = len(outside)
+    labels = S.rows[:, outside + [k + j for j in outside]].tolist()
     pieces: dict = {}
-    for t in S.members:
-        key = (
-            tuple(t[j] for j in outside),
-            tuple(t[k + j] for j in outside),
-        )
-        pieces.setdefault(key, []).append(t)
-    return {key: FiniteSet(k, mem) for key, mem in pieces.items()}
+    for i, lab in enumerate(labels):
+        pieces.setdefault(tuple(lab), []).append(i)
+    return {
+        (lab[:m], lab[m:]): FiniteSet(k, S.rows[mem]) for lab, mem in pieces.items()
+    }

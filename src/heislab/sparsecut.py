@@ -229,7 +229,7 @@ def lp_relaxation(inst: Instance, tol: float = 1e-9) -> LpRelaxResult:
     for _ in range(len(triples) + 2):
         res = solve_lp(cvec, np.array(rows), np.array(rhs), senses)
         if res.status != "optimal":
-            raise ValidationError(f"relaxation LP ended with status {res.status}")
+            raise ConvergenceError(f"relaxation LP ended with status {res.status}")
         iters += res.iterations
         x = res.x
         scale = max(1.0, float(np.abs(x).max()))
@@ -409,28 +409,6 @@ def gl_sdp(
         "centering": float(np.abs(K @ np.ones(n)).max()),
     }
     return SdpResult(value, K, d, it, converged, residuals)
-
-
-# -- gap reports ------------------------------------------------------------
-
-
-@dataclass
-class GapReport:
-    opt: OptResult
-    lp: LpRelaxResult
-    sdp: SdpResult
-
-    @property
-    def lp_gap(self) -> float:
-        return self.opt.value / self.lp.value if self.lp.value > 0 else np.inf
-
-    @property
-    def sdp_gap(self) -> float:
-        return self.opt.value / self.sdp.value if self.sdp.value > 0 else np.inf
-
-
-def integrality_gap(inst: Instance) -> GapReport:
-    return GapReport(opt_bruteforce(inst), lp_relaxation(inst), gl_sdp(inst))
 
 
 # -- the distortion-to-gap harness ------------------------------------------

@@ -1,0 +1,49 @@
+"""Independent boundary counts for finite lattice sets, used as oracles.
+
+Each count works member by member on coordinate tuples, apart from the
+kernel in ``heislab.perimeter`` that it checks.
+"""
+
+import numpy as np
+
+from heislab.errors import ValidationError
+from heislab.group import DiscreteElement, generators
+
+
+def vertical_t_count(S, t: int) -> int:
+    """|bd_v^t S| by the column-gap formula 2(|S| - #{w in S : w + t in S})."""
+    if t < 1:
+        raise ValidationError("vertical jump must be >= 1")
+    matches = 0
+    for ws in S.columns():
+        matches += int(np.intersect1d(ws + t, ws, assume_unique=True).size)
+    return 2 * (S.size - matches)
+
+
+def vertical_t_count_direct(S, t: int) -> int:
+    """|bd_v^t S| counted pair by pair over memberships (independent route)."""
+    members = set(S)
+    k = S.k
+    count = 0
+    for tup in members:
+        up = tup[: 2 * k] + (tup[2 * k] + t,)
+        dn = tup[: 2 * k] + (tup[2 * k] - t,)
+        if up not in members:
+            count += 1
+        if dn not in members:
+            count += 1
+    return count
+
+
+def horizontal_perimeter_direct(S) -> int:
+    """|bd_h S| pair by pair: g in S, s a generator, g * s not in S,
+    with the product taken by the group law of DiscreteElement."""
+    members = set(S)
+    k = S.k
+    count = 0
+    for t in members:
+        g = DiscreteElement(k, t[:k], t[k : 2 * k], t[2 * k])
+        for s in generators(k):
+            if (g * s).coords() not in members:
+                count += 1
+    return count

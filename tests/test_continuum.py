@@ -142,7 +142,7 @@ def test_voxelize_small_ball():
 def test_voxelize_worker_independent():
     a = voxelize(QuasiBall(1, 2.0), 0.25, seed=2, workers=1)
     b = voxelize(QuasiBall(1, 2.0), 0.25, seed=2, workers=3)
-    assert a.members == b.members
+    assert a == b
 
 
 def test_voxelize_converges_to_volume():

@@ -209,3 +209,17 @@ def test_snowflake_distortion_nonincreasing():
     ]
     assert vals[0] >= vals[1] - 1e-7
     assert vals[1] >= vals[2] - 1e-7
+
+
+def test_c1_lp_stopped_short_is_convergence_error(monkeypatch, tmp_path):
+    import heislab.embeddings as emb
+    from heislab.cli import main
+    from heislab.errors import ConvergenceError
+    from heislab.simplex import LpResult
+
+    monkeypatch.setattr(
+        emb, "solve_lp", lambda *a, **kw: LpResult("iteration_cap", iterations=20_000)
+    )
+    with pytest.raises(ConvergenceError):
+        c1_distortion(cycle_metric(5))
+    assert main(["c1", "--demo", "cycle:5", "--out-dir", str(tmp_path)]) == 4

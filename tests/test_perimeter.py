@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.errors import ValidationError
+from heislab.cayley import word_distance
+from heislab.errors import ResourceCapError, ValidationError
+from heislab.group import DiscreteElement
 from heislab.perimeter import (
     FiniteSet,
+    _neighbor_tuples,
     ball_set,
     box_set,
     column_set,
     default_corpus,
+    generator_step,
     horizontal_perimeter,
-    isoperimetric_ratio,
     parse_set_spec,
     random_blob,
     vertical_perimeter,
     vertical_spectrum,
+)
+from lattice_oracles import (
+    horizontal_perimeter_direct,
     vertical_t_count,
     vertical_t_count_direct,
 )
@@ -40,7 +46,7 @@ def test_finite_set_basics():
 def test_lines_roundtrip():
     S = random_blob(2, 40, 5)
     back = FiniteSet.from_lines(list(S.to_lines()))
-    assert back.members == S.members
+    assert back == S
 
 
 @given(BLOBS)
@@ -52,6 +58,50 @@ def test_horizontal_perimeter_bounds(args):
     assert 0 < h <= 4 * k * S.size
     if size == 1:
         assert h == 4 * k
+
+
+@given(BLOBS)
+@settings(max_examples=30, deadline=None)
+def test_horizontal_perimeter_matches_pairwise_oracle(args):
+    S = random_blob(*args)
+    assert horizontal_perimeter(S) == horizontal_perimeter_direct(S)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [box_set(1, 3, 4, 5), box_set(2, 2, 3, 2), ball_set(1, 4), ball_set(2, 2)],
+    ids=["box-k1", "box-k2", "ball-k1", "ball-k2"],
+)
+def test_horizontal_perimeter_on_boxes_and_balls(S):
+    assert horizontal_perimeter(S) == horizontal_perimeter_direct(S)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(-50, 50), min_size=2 * k + 1, max_size=2 * k + 1),
+        )
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_scalar_step_matches_block_action(args):
+    k, t = args
+    rows = np.array([t], dtype=np.int64)
+    block = [tuple(generator_step(k, rows, j)[0].tolist()) for j in range(4 * k)]
+    assert list(_neighbor_tuples(k, tuple(t))) == block
+
+
+def test_key_window_overflow_is_refused():
+    far = DiscreteElement(1, (2**40,), (2**40,), 0)
+    with pytest.raises(ResourceCapError) as set_err:
+        FiniteSet(1, [(0, 0, 0), far.coords()])
+    with pytest.raises(ResourceCapError) as bfs_err:
+        word_distance(far, 2)
+    assert str(set_err.value) == str(bfs_err.value)
+    # a window of 2^62 keys fits; each isolated point exits along every move
+    S = FiniteSet(1, [(0, 0, 0), (2**31 - 1, 2**31 - 1, 0)])
+    assert horizontal_perimeter(S) == horizontal_perimeter_direct(S) == 8
 
 
 @given(BLOBS, st.integers(min_value=1, max_value=12))
@@ -89,7 +139,7 @@ def test_column_spectrum_is_linear():
 def test_box_set_size_and_ratio():
     S = box_set(2, 3, 3, 1)
     assert S.size == 81
-    ratio, err = isoperimetric_ratio(S)
+    ratio = vertical_perimeter(S)[0] / horizontal_perimeter(S)
     # frozen from the first verified run of the exact head-plus-tail route
     assert ratio == pytest.approx(0.57714742357283888, abs=1e-13)
 
@@ -104,7 +154,7 @@ def test_ball_set_matches_word_ball():
 def test_random_blob_deterministic():
     a = random_blob(2, 75, 99)
     b = random_blob(2, 75, 99)
-    assert a.members == b.members
+    assert a == b
     assert a.size == 75
 
 
@@ -114,9 +164,9 @@ def test_parse_set_spec():
     assert parse_set_spec(1, "column(4)").size == 4
     assert parse_set_spec(1, "ball(2)").size == 17
     assert parse_set_spec(1, "random_blob(30,7)").size == 30
-    assert parse_set_spec(1, "random_blob(30)", seed=7).members == parse_set_spec(
+    assert parse_set_spec(1, "random_blob(30)", seed=7) == parse_set_spec(
         1, "random_blob(30,7)"
-    ).members
+    )
     with pytest.raises(ValidationError):
         parse_set_spec(1, "random_blob(30)")
     with pytest.raises(ValidationError):

@@ -111,7 +111,7 @@ def test_coset_partition():
     pieces = coset_partition([1], S)
     assert sum(p.size for p in pieces.values()) == S.size
     for (xs, ys), piece in pieces.items():
-        for t in piece.members:
+        for t in piece:
             assert (t[1],) == xs and (t[3],) == ys
     with pytest.raises(ValidationError):
         coset_partition([], S)
@@ -137,10 +137,10 @@ def test_sublevel_set_semantics():
     want = {t for t, v in vals.items() if v < -1}
     if want:
         F = sublevel_set(phi, -1)
-        assert set(F.members) == want
+        assert set(F) == want
     # u > 0: finite complement {phi >= u}
     F = sublevel_set(phi, 1)
-    assert set(F.members) == {t for t, v in vals.items() if v >= 1}
+    assert set(F) == {t for t, v in vals.items() if v >= 1}
     # boundary counts match the matching coarea level
     rep = coarea(phi)
     lv = {level.u: level for level in rep.levels}

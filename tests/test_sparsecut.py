@@ -9,7 +9,6 @@ from heislab.sparsecut import (
     Instance,
     duality_harness,
     gl_sdp,
-    integrality_gap,
     lp_relaxation,
     opt_bruteforce,
     random_instance,
@@ -94,10 +93,13 @@ def test_sdp_iteration_flagging():
 
 
 def test_integrality_gap_report():
-    rep = integrality_gap(random_instance(4, seed=2))
-    assert rep.lp_gap >= 1.0 - 1e-9
-    assert rep.sdp_gap >= 1.0 - 1e-6
-    assert rep.lp_gap >= rep.sdp_gap - 1e-6
+    inst = random_instance(4, seed=2)
+    opt = opt_bruteforce(inst).value
+    lp_gap = opt / lp_relaxation(inst).value
+    sdp_gap = opt / gl_sdp(inst).value
+    assert lp_gap >= 1.0 - 1e-9
+    assert sdp_gap >= 1.0 - 1e-6
+    assert lp_gap >= sdp_gap - 1e-6
 
 
 def test_duality_harness_requires_negative_type():
@@ -143,3 +145,18 @@ def test_permutation_equivariance():
     assert side2 in (mapped, set(range(6)) - mapped)
     lp1, lp2 = lp_relaxation(inst), lp_relaxation(relabeled)
     assert lp2.value == pytest.approx(lp1.value, abs=1e-9)
+
+
+def test_lp_stopped_short_is_convergence_error(monkeypatch, tmp_path):
+    import heislab.sparsecut as sc
+    from heislab.cli import main
+    from heislab.errors import ConvergenceError
+    from heislab.simplex import LpResult
+
+    monkeypatch.setattr(
+        sc, "solve_lp", lambda *a, **kw: LpResult("iteration_cap", iterations=20_000)
+    )
+    with pytest.raises(ConvergenceError):
+        lp_relaxation(random_instance(5, seed=3))
+    argv = ["sparsest-cut", "--random", "5,3", "--solver", "lp", "--out-dir", str(tmp_path)]
+    assert main(argv) == 4
