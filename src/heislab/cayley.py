@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .group import DiscreteElement, identity
-from .perimeter import FiniteSet, _pack, check_key_window, generator_step
+from .perimeter import FiniteSet, _pack, check_key_window, element_from_row, generator_step
 
 
 def _estimated_ball_bytes(k: int, r: int) -> int:
@@ -109,11 +109,6 @@ class Ball:
     def elements(self):
         for row, d in zip(self.points.rows, self.dists):
             yield element_from_row(self.k, row), int(d)
-
-
-def element_from_row(k: int, row) -> DiscreteElement:
-    vals = [int(v) for v in row]
-    return DiscreteElement(k, tuple(vals[:k]), tuple(vals[k : 2 * k]), vals[2 * k])
 
 
 def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:

@@ -55,6 +55,11 @@ def _pack(coords: np.ndarray, lows: np.ndarray, spans: np.ndarray) -> np.ndarray
     return key
 
 
+def element_from_row(k: int, row) -> DiscreteElement:
+    vals = [int(v) for v in row]
+    return DiscreteElement(k, tuple(vals[:k]), tuple(vals[k : 2 * k]), vals[2 * k])
+
+
 def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
     """Rows right-multiplied by generator j of group.generators(k).
 
@@ -161,9 +166,8 @@ class FiniteSet:
         return FiniteSet(k_new, rows)
 
     def to_lines(self):
-        k = self.k
-        for t in self:
-            yield DiscreteElement(k, t[:k], t[k : 2 * k], t[2 * k]).to_text()
+        for row in self.rows.tolist():
+            yield element_from_row(self.k, row).to_text()
 
     @staticmethod
     def from_lines(lines) -> "FiniteSet":

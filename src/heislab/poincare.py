@@ -31,6 +31,7 @@ from .perimeter import (
     FiniteSet,
     _psi1_exact,
     _EPS,
+    element_from_row,
     generator_step,
     horizontal_perimeter,
     vertical_perimeter,
@@ -285,7 +286,7 @@ def local_poincare(
     Ball membership for the rhs window is certified by word-length
     bounds where possible and by exact bidirectional distance otherwise.
     """
-    from .cayley import ball, element_from_row, word_distance, word_upper_bound
+    from .cayley import ball, word_distance, word_upper_bound
 
     if n < 1:
         raise ValidationError("localization radius must be >= 1")
