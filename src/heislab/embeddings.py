@@ -17,8 +17,6 @@ vector x with x.d.x > 0.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +28,46 @@ from .rng import Rng
 from .simplex import solve_lp
 
 _C1_MAX_POINTS = 16
+
+
+def upper_triangle_text(*mats: np.ndarray) -> str:
+    """First line n, then the upper-triangle rows of each n x n matrix."""
+    n = mats[0].shape[0]
+    lines = [str(n)]
+    for M in mats:
+        for i in range(n - 1):
+            lines.append(" ".join(f"{v:.17g}" for v in M[i, i + 1 :]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_upper_triangles(text: str, count: int) -> list[np.ndarray]:
+    """Inverse of ``upper_triangle_text``: ``count`` symmetric matrices."""
+    toks = text.split()
+    if not toks:
+        raise ValidationError("empty matrix file")
+    try:
+        n = int(toks[0])
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValidationError(f"bad point count {toks[0]!r}")
+    need = n * (n - 1) // 2
+    if len(toks) != 1 + count * need:
+        raise ValidationError(
+            f"expected {count * need} upper-triangle entries for n={n}, "
+            f"got {len(toks) - 1}"
+        )
+    try:
+        vals = np.array([float(t) for t in toks[1:]]).reshape(count, need)
+    except ValueError:
+        raise ValidationError("non-numeric matrix entry") from None
+    p, q = np.triu_indices(n, 1)
+    mats = []
+    for row in vals:
+        M = np.zeros((n, n))
+        M[p, q] = M[q, p] = row
+        mats.append(M)
+    return mats
 
 
 class MetricSpace:
@@ -72,45 +110,12 @@ class MetricSpace:
     # -- serialization: first line n, then upper-triangle rows ----------
 
     def to_text(self) -> str:
-        lines = [str(self.n)]
-        for i in range(self.n - 1):
-            lines.append(" ".join(f"{v:.17g}" for v in self.d[i, i + 1 :]))
-        return "\n".join(lines) + "\n"
+        return upper_triangle_text(self.d)
 
     @classmethod
     def from_text(cls, text: str) -> "MetricSpace":
-        toks = text.split()
-        if not toks:
-            raise ValidationError("empty metric file")
-        try:
-            n = int(toks[0])
-        except ValueError:
-            raise ValidationError(f"bad point count {toks[0]!r}") from None
-        need = n * (n - 1) // 2
-        vals = toks[1:]
-        if len(vals) != need:
-            raise ValidationError(
-                f"expected {need} upper-triangle entries for n={n}, got {len(vals)}"
-            )
-        d = np.zeros((n, n))
-        it = iter(vals)
-        for i in range(n):
-            for j in range(i + 1, n):
-                try:
-                    v = float(next(it))
-                except ValueError:
-                    raise ValidationError("non-numeric distance entry") from None
-                d[i, j] = d[j, i] = v
+        (d,) = parse_upper_triangles(text, 1)
         return cls(d)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "MetricSpace":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
 
     # -- transforms ------------------------------------------------------
 
@@ -261,6 +266,24 @@ def is_negative_type(ms: MetricSpace, tol: float = 1e-8) -> NegativeTypeReport:
 # -- cut measures and the distortion LP ----------------------------------
 
 
+def cut_sides(masks, n: int) -> np.ndarray:
+    """(#masks) x n matrix of 0.0/1.0: entry [c, i] is bit i of masks[c]."""
+    masks = np.asarray(masks, dtype=np.uint32)
+    shifts = np.arange(n, dtype=np.uint32)
+    return ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
+
+
+def cut_pair_matrix(masks, n: int) -> np.ndarray:
+    """(#pairs) x (#masks) matrix of 0.0/1.0: does cut c separate pair p < q.
+
+    Pairs come in lexicographic (upper-triangle) order.  The result is in
+    C order, since the layout fixes the summation order of products with it.
+    """
+    B = cut_sides(masks, n)
+    p, q = np.triu_indices(n, 1)
+    return np.ascontiguousarray((B[:, p] != B[:, q]).T, dtype=float)
+
+
 @dataclass
 class CutMeasure:
     """Weighted cuts on n points; bit i of mask = point i on the S side.
@@ -273,40 +296,16 @@ class CutMeasure:
     n: int
     entries: list[tuple[int, float]] = field(default_factory=list)
 
-    def side(self, mask: int) -> frozenset:
-        return frozenset(i for i in range(self.n) if (mask >> i) & 1)
-
     def embedding(self) -> np.ndarray:
         """n x (#cuts) matrix whose L1 row distances realize the cut metric."""
-        X = np.zeros((self.n, len(self.entries)))
-        for j, (mask, w) in enumerate(self.entries):
-            for i in range(self.n):
-                if (mask >> i) & 1:
-                    X[i, j] = w
-        return X
+        masks = [mask for mask, _ in self.entries]
+        weights = np.array([w for _, w in self.entries])
+        # C order: l1_matrix sums along rows, and the layout fixes the order
+        return np.ascontiguousarray(cut_sides(masks, self.n).T * weights)
 
     def l1_matrix(self) -> np.ndarray:
         X = self.embedding()
         return np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"mask": m, "weight": w} for m, w in self.entries], indent=2
-        )
-
-    @classmethod
-    def from_json(cls, n: int, text: str) -> "CutMeasure":
-        rows = json.loads(text)
-        if not isinstance(rows, list):
-            raise ValidationError("cut measure JSON must be an array")
-        entries = []
-        for row in rows:
-            mask = int(row["mask"])
-            w = float(row["weight"])
-            if not 0 < mask < (1 << n) or w < 0:
-                raise ValidationError("bad cut entry")
-            entries.append((mask, w))
-        return cls(n, entries)
 
 
 @dataclass
@@ -353,11 +352,7 @@ def c1_distortion(ms: MetricSpace, refine: bool | None = None) -> DistortionRepo
     P = len(pairs)
     dvec = ms.pair_distances()
 
-    delta = np.zeros((P, ncuts))
-    for row, (p, q) in enumerate(pairs):
-        bp = (masks >> p) & 1
-        bq = (masks >> q) & 1 if q < n - 1 else np.zeros_like(bp)
-        delta[row] = (bp ^ bq).astype(float)
+    delta = cut_pair_matrix(masks, n)
 
     # columns: cut weights then t
     A = np.zeros((2 * P, ncuts + 1))

@@ -30,7 +30,11 @@ from .embeddings import (
     DistortionReport,
     MetricSpace,
     c1_distortion,
+    cut_pair_matrix,
+    cut_sides,
     is_negative_type,
+    parse_upper_triangles,
+    upper_triangle_text,
 )
 from .errors import ConvergenceError, ValidationError
 from .rng import Rng
@@ -70,40 +74,12 @@ class Instance:
         self.n = n
 
     def to_text(self) -> str:
-        lines = [str(self.n)]
-        for M in (self.C, self.D):
-            for i in range(self.n - 1):
-                lines.append(" ".join(f"{v:.17g}" for v in M[i, i + 1 :]))
-        return "\n".join(lines) + "\n"
+        return upper_triangle_text(self.C, self.D)
 
     @classmethod
     def from_text(cls, text: str) -> "Instance":
-        toks = text.split()
-        if not toks:
-            raise ValidationError("empty instance file")
-        try:
-            n = int(toks[0])
-        except ValueError:
-            raise ValidationError(f"bad point count {toks[0]!r}") from None
-        need = n * (n - 1) // 2
-        if len(toks) != 1 + 2 * need:
-            raise ValidationError(
-                f"expected {2 * need} weight entries for n={n}, got {len(toks) - 1}"
-            )
-        mats = []
-        pos = 1
-        for _ in range(2):
-            M = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    try:
-                        v = float(toks[pos])
-                    except ValueError:
-                        raise ValidationError("non-numeric weight entry") from None
-                    M[i, j] = M[j, i] = v
-                    pos += 1
-            mats.append(M)
-        return cls(mats[0], mats[1])
+        C, D = parse_upper_triangles(text, 2)
+        return cls(C, D)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -154,10 +130,9 @@ def opt_bruteforce(inst: Instance, chunk: int = 1 << 18) -> OptResult:
     best_mask = 0
     best_cap = best_dem = 0.0
     total = (1 << (n - 1)) - 1
-    shifts = np.arange(n, dtype=np.uint32)
     for start in range(1, total + 1, chunk):
         masks = np.arange(start, min(start + chunk, total + 1), dtype=np.uint32)
-        B = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
+        B = cut_sides(masks, n)
         cap = ((B @ inst.C) * (1.0 - B)).sum(axis=1)
         dem = ((B @ inst.D) * (1.0 - B)).sum(axis=1)
         ok = dem > 0
@@ -186,75 +161,65 @@ class LpRelaxResult:
     triangle_rows: int
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    c = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            idx[(p, q)] = c
-            c += 1
-    return idx
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle positions (ij, ik, jk) of the pairs of every triangle
+    inequality d_ij <= d_ik + d_jk, i < j, k not in {i, j}; k varies
+    slowest, then i, then j.
+
+    For a fixed i, the position of the pair {i, k} increases with k, so
+    (ij, ik) sorts the triangles as (i, j, k) does.
+    """
+    p, q = np.triu_indices(n, 1)
+    pos = np.zeros((n, n), dtype=np.int64)
+    pos[p, q] = pos[q, p] = np.arange(len(p))
+    k = np.repeat(np.arange(n), len(p))
+    i, j = np.tile(p, n), np.tile(q, n)
+    keep = (i != k) & (j != k)
+    i, j, k = i[keep], j[keep], k[keep]
+    return pos[i, j], pos[i, k], pos[j, k]
 
 
 def lp_relaxation(inst: Instance, tol: float = 1e-9) -> LpRelaxResult:
     """min <C, d> over metrics d with <D, d> = 1, by lazy triangle rows."""
     n = inst.n
-    idx = _pair_index(n)
-    P = len(idx)
     iu = np.triu_indices(n, 1)
     cvec = inst.C[iu]
     dvec = inst.D[iu]
+    P = len(dvec)
+    ij, ik, jk = _triangles(n)
+    R = len(ij)
 
-    triples = [
-        (i, j, k)
-        for k in range(n)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if i != k and j != k
-    ]
-
-    def triple_row(t):
-        i, j, k = t
-        row = np.zeros(P)
-        row[idx[(i, j)]] = 1.0
-        row[idx[(min(i, k), max(i, k))]] = -1.0
-        row[idx[(min(j, k), max(j, k))]] = -1.0
-        return row
-
-    rows = [dvec]
-    rhs = [1.0]
+    A = dvec[None, :]
+    rhs = np.ones(1)
     senses = ["="]
-    active: list[tuple[int, int, int]] = []
+    active = np.zeros(R, dtype=bool)
     iters = 0
-    for _ in range(len(triples) + 2):
-        res = solve_lp(cvec, np.array(rows), np.array(rhs), senses)
+    for _ in range(R + 2):
+        res = solve_lp(cvec, A, rhs, senses)
         if res.status != "optimal":
             raise ConvergenceError(f"relaxation LP ended with status {res.status}")
         iters += res.iterations
         x = res.x
         scale = max(1.0, float(np.abs(x).max()))
-        violated = []
-        for t in triples:
-            if t in active:
-                continue
-            i, j, k = t
-            v = (
-                x[idx[(i, j)]]
-                - x[idx[(min(i, k), max(i, k))]]
-                - x[idx[(min(j, k), max(j, k))]]
-            )
-            if v > tol * scale:
-                violated.append((v, t))
-        if not violated:
+        v = x[ij] - x[ik] - x[jk]
+        new = np.flatnonzero(~active & (v > tol * scale))
+        if len(new) == 0:
             d = np.zeros((n, n))
             d[iu] = x
-            return LpRelaxResult(float(res.objective), d + d.T, iters, len(active))
-        violated.sort(reverse=True)
-        for _, t in violated:
-            rows.append(triple_row(t))
-            rhs.append(0.0)
-            senses.append("<=")
-            active.append(t)
+            return LpRelaxResult(
+                float(res.objective), d + d.T, iters, int(active.sum())
+            )
+        # largest violation first, ties broken by (i, j, k) descending
+        new = new[np.lexsort((ik[new], ij[new], v[new]))[::-1]]
+        rows = np.zeros((len(new), P))
+        at = np.arange(len(new))
+        rows[at, ij[new]] = 1.0
+        rows[at, ik[new]] = -1.0
+        rows[at, jk[new]] = -1.0
+        A = np.vstack([A, rows])
+        rhs = np.concatenate([rhs, np.zeros(len(new))])
+        senses += ["<="] * len(new)
+        active[new] = True
     raise ConvergenceError("triangle row generation failed to close")
 
 
@@ -275,26 +240,6 @@ def _laplacian(W: np.ndarray) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def _triangle_operators(n: int):
-    """Symmetric matrices T with <T, K> = 2(K_ik + K_jk - K_ij - K_kk)."""
-    ops = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if i == k or j == k:
-                    continue
-                T = np.zeros((n, n))
-                T[i, k] += 1.0
-                T[k, i] += 1.0
-                T[j, k] += 1.0
-                T[k, j] += 1.0
-                T[i, j] -= 1.0
-                T[j, i] -= 1.0
-                T[k, k] -= 2.0
-                ops.append(T)
-    return ops
-
-
 def gl_sdp(
     inst: Instance,
     rho: float = 1.0,
@@ -308,10 +253,18 @@ def gl_sdp(
     n = inst.n
     LC = _laplacian(inst.C)
     LD = _laplacian(inst.D)
-    tris = _triangle_operators(n)
-    R = len(tris)
+    ij, ik, jk = _triangles(n)
+    R = len(ij)
     nk = n * n
     dim = nk + R
+
+    # row r of G reads the squared distance of pair r off vec(K), so a
+    # triangle row d_ij - d_ik - d_jk is 2(K_ik + K_jk - K_ij - K_kk)
+    p, q = np.triu_indices(n, 1)
+    at = np.arange(len(p))
+    G = np.zeros((len(p), nk))
+    G[at, p * n + p] = G[at, q * n + q] = 1.0
+    G[at, p * n + q] = G[at, q * n + p] = -1.0
 
     # affine rows: normalization, centering, triangle + slack
     m_rows = 1 + n + R
@@ -324,9 +277,9 @@ def gl_sdp(
         S[i, :] += 0.5
         S[:, i] += 0.5
         E[1 + i, :nk] = S.ravel()
-    for r, T in enumerate(tris):
-        E[1 + n + r, :nk] = T.ravel()
-        E[1 + n + r, nk + r] = 1.0
+    E_tri = E[1 + n :]
+    E_tri[:, :nk] = G[ij] - G[ik] - G[jk]
+    E_tri[:, nk:] = np.eye(R)
 
     M = E @ E.T
     M[np.diag_indices_from(M)] += 1e-12
@@ -339,12 +292,11 @@ def gl_sdp(
         return v - cobj / rho_now - E.T @ mu
 
     # start at the scaled equilateral configuration; it satisfies everything
-    c0 = 1.0 / (2.0 * inst.D[np.triu_indices(n, 1)].sum())
+    c0 = 1.0 / (2.0 * inst.D[p, q].sum())
     K0 = c0 * (np.eye(n) - np.full((n, n), 1.0 / n))
     z = np.zeros(dim)
     z[:nk] = K0.ravel()
-    for r, T in enumerate(tris):
-        z[nk + r] = -float((T * K0).sum())
+    z[nk:] = -(E_tri[:, :nk] * K0.ravel()).sum(axis=1)
     u = np.zeros(dim)
 
     converged = False
@@ -393,17 +345,13 @@ def gl_sdp(
     np.fill_diagonal(d, 0.0)
     value = float((LC * K).sum())
 
-    tri_viol = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i < j and i != k and j != k:
-                    tri_viol = max(tri_viol, d[i, j] - d[i, k] - d[k, j])
+    dvec = d[p, q]
+    tri_viol = max(0.0, float((dvec[ij] - dvec[ik] - dvec[jk]).max(initial=0.0)))
     ev = np.linalg.eigvalsh(K)
     residuals = {
         "primal": float(np.linalg.norm(x - z)),
         "dual": float(rho * np.linalg.norm(z - z_old)),
-        "triangle": float(tri_viol),
+        "triangle": tri_viol,
         "normalization": abs(float((LD * K).sum()) - 1.0),
         "min_eigenvalue": float(ev.min()),
         "centering": float(np.abs(K @ np.ones(n)).max()),
@@ -451,12 +399,7 @@ def duality_harness(
     inst = Instance(C, D)
 
     # exhaustive check: sum(delta nu) >= sum(delta mu) on every cut
-    masks = np.arange(1, 1 << (n - 1), dtype=np.uint32)
-    delta = np.zeros((len(rep.pairs), len(masks)))
-    for row, (p, q) in enumerate(rep.pairs):
-        bp = (masks >> p) & 1
-        bq = (masks >> q) & 1 if q < n - 1 else np.zeros_like(bp)
-        delta[row] = (bp ^ bq).astype(float)
+    delta = cut_pair_matrix(np.arange(1, 1 << (n - 1)), n)
     margin = float(
         np.min(rep.expansion_duals @ delta - rep.noncontraction_duals @ delta)
     )

@@ -144,6 +144,25 @@ def test_c1_metric_file(tmp_path):
     assert obj["value"] == pytest.approx(1.0)
 
 
+BAD_MATRIX_FILES = {
+    "empty": ("", ""),
+    "count": ("3\n1 1\n", "3\n1 1\n1\n1 1\n"),
+    "non-numeric": ("3\n1 x\n1\n", "3\n1 1\n1\n1 x\n1\n"),
+    "negative-n": ("-2\n1 1 1\n", "-2\n1 1 1\n1 1 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRIX_FILES))
+def test_bad_matrix_files_exit_2(tmp_path, case):
+    metric_text, instance_text = BAD_MATRIX_FILES[case]
+    f = tmp_path / "matrix.txt"
+    f.write_text(metric_text)
+    assert main(["c1", "--metric", str(f), "--out-dir", str(tmp_path / "c1")]) == 2
+    f.write_text(instance_text)
+    argv = ["sparsest-cut", "--instance", str(f), "--out-dir", str(tmp_path / "sc")]
+    assert main(argv) == 2
+
+
 def test_sparsest_cut_command(tmp_path):
     rc = main(["sparsest-cut", "--random", "5,3", "--out-dir", str(tmp_path)])
     assert rc == 0

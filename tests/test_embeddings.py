@@ -9,6 +9,7 @@ from heislab.embeddings import (
     ball_metric,
     c1_distortion,
     complete_bipartite_metric,
+    cut_pair_matrix,
     cycle_metric,
     from_points_l1,
     from_points_l2,
@@ -36,6 +37,8 @@ def test_text_roundtrip():
     ms = random_metric(6, seed=2)
     back = MetricSpace.from_text(ms.to_text())
     assert np.allclose(back.d, ms.d)
+    for text in (ms.to_text(), "1\n", "3\n1 2\n1.5\n"):
+        assert MetricSpace.from_text(text).to_text() == text
 
 
 def test_transforms():
@@ -113,17 +116,15 @@ def test_cut_measure_l1_identity(seed):
             assert L[i, j] == pytest.approx(want)
 
 
-def test_cut_measure_json_roundtrip():
-    import json
-
-    cm = CutMeasure(4, [(1, 0.5), (6, 1.25)])
-    rows = json.loads(cm.to_json())
-    assert rows == [
-        {"mask": 1, "weight": 0.5},
-        {"mask": 6, "weight": 1.25},
-    ]
-    back = CutMeasure.from_json(4, cm.to_json())
-    assert back.n == 4 and back.entries == [(1, 0.5), (6, 1.25)]
+def test_cut_pair_matrix_marks_separated_pairs():
+    n = 5
+    masks = np.arange(1, 1 << (n - 1))
+    delta = cut_pair_matrix(masks, n)
+    pairs = path_metric(n).pairs()
+    assert delta.shape == (len(pairs), len(masks))
+    for r, (p, q) in enumerate(pairs):
+        for c, m in enumerate(masks):
+            assert delta[r, c] == float(((m >> p) & 1) != ((m >> q) & 1))
 
 
 def test_path_embeds_isometrically():

@@ -7,6 +7,7 @@ from heislab.embeddings import complete_bipartite_metric, negative_type_with_dis
 from heislab.errors import ValidationError
 from heislab.sparsecut import (
     Instance,
+    _triangles,
     duality_harness,
     gl_sdp,
     lp_relaxation,
@@ -36,6 +37,23 @@ def test_text_roundtrip():
     inst = random_instance(5, seed=4)
     back = Instance.from_text(inst.to_text())
     assert np.allclose(back.C, inst.C) and np.allclose(back.D, inst.D)
+    for text in (inst.to_text(), "3\n2 0\n1\n0 1.5\n0\n"):
+        assert Instance.from_text(text).to_text() == text
+
+
+def test_triangles_order():
+    # k slowest, then i < j; each entry is the upper-triangle position of
+    # the pairs {i, j}, {i, k} and {j, k}
+    for n in range(2, 7):
+        pos = {pair: r for r, pair in enumerate(zip(*np.triu_indices(n, 1)))}
+        want = [
+            (pos[(i, j)], pos[(min(i, k), max(i, k))], pos[(min(j, k), max(j, k))])
+            for k in range(n)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if k not in (i, j)
+        ]
+        assert list(zip(*_triangles(n))) == want
 
 
 def test_opt_on_hand_instance():
