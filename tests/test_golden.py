@@ -3,6 +3,10 @@
 The lattice digests were recorded before the lattice-set kernel was
 rewritten; any refactor of the set representation, the generator action
 or the perimeter routes must leave every byte of these files unchanged.
+The two further ``poincare`` cases were recorded before the rhs window of
+``local_poincare`` moved to one shared ball search: ``poincare-box-k2``
+has R = 4 at k = 2, and ``poincare-default-alpha`` has R = 21, beyond the
+one-sided search, so it pins the per-row bidirectional route.
 
 The solver digests (``c1``, ``sparsest-cut``, ``duality``) were recorded
 before the metric codec, the cut-incidence matrix and the triangle rows
@@ -58,6 +62,20 @@ GOLDEN = {
          "--seed", "2", "--local", "2", "--alpha", "2.0"],
         {
             "poincare.json": "ebdf8358d1966e337e30525915c51d57b17a43fd69005c2a0540226ea2f3c008",
+        },
+    ),
+    "poincare-box-k2": (
+        ["poincare", "--k", "2", "--set", "box(3,3,6)", "--values=-2,3",
+         "--seed", "4", "--local", "2", "--alpha", "2.0"],
+        {
+            "poincare.json": "64c6121d812f2ed63dd942968ac1573121d9ea4861ffb80ffab93d068628e7e4",
+        },
+    ),
+    "poincare-default-alpha": (
+        ["poincare", "--k", "1", "--set", "random_blob(300,5)", "--values=-3,4",
+         "--seed", "2", "--local", "1"],
+        {
+            "poincare.json": "084597a305e1eceec2f3581264097e8a74dc18248b7a9e34187756dd87e23e0a",
         },
     ),
     "voxelize": (
