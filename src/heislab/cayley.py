@@ -7,6 +7,11 @@ perimeter.generator_step, and dedup/visited tests run on packed int64
 keys over the search window.  A finished ball is a perimeter.FiniteSet
 with a distance per row, so members are reported in lexicographic
 coordinate order.
+
+Word distances up to radius ONE_SIDED_MAX come from one BFS from the
+identity over the window of ball(); _ball_distances answers a whole
+block of rows from that one search.  Beyond that radius word_distance
+meets in the middle, one element at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import numpy as np
 from .errors import ResourceCapError
 from .group import DiscreteElement, identity
 from .perimeter import FiniteSet, _pack, check_key_window, element_from_row, generator_step
+
+
+# largest radius answered by the one-sided BFS from the identity
+ONE_SIDED_MAX = 8
 
 
 def _estimated_ball_bytes(k: int, r: int) -> int:
@@ -71,8 +80,9 @@ class _Side:
         return keys
 
     def dist_of(self, keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.visited_keys, keys)
-        return self.visited_dist[pos]
+        """Distance from the start of each packed key, -1 where not visited."""
+        pos = np.clip(np.searchsorted(self.visited_keys, keys), 0, len(self.visited_keys) - 1)
+        return np.where(self.visited_keys[pos] == keys, self.visited_dist[pos], -1)
 
     def bytes_estimate(self) -> int:
         return (len(self.visited_keys) + 4 * self.k * len(self.frontier)) * 8 * (
@@ -111,6 +121,40 @@ class Ball:
             yield element_from_row(self.k, row), int(d)
 
 
+def _ball_window(k: int, r: int):
+    """(lows, spans) of a coordinate window holding all of B_r."""
+    lows = np.array([-r] * (2 * k) + [-r * r - 1], dtype=np.int64)
+    spans = np.array([2 * r + 1] * (2 * k) + [2 * r * r + 3], dtype=np.int64)
+    return lows, spans
+
+
+def _ball_distances(k: int, rows, r_max: int, mem_cap_mib: float = 4096.0) -> np.ndarray:
+    """d_W(1, g) for each row g of a block, or -1 where it exceeds r_max.
+
+    One BFS from the identity over the window of ball(k, r_max), which
+    stops as soon as every row inside that window has been reached; rows
+    outside it lie outside B_r_max.  Memory is guarded level by level
+    against the visited set, as in word_distance, and not by ball()'s
+    upfront size heuristic, so the search only grows as far as the
+    farthest row asks.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * k + 1)
+    cap = int(mem_cap_mib * (1 << 20))
+    lows, spans = _ball_window(k, r_max)
+    inside = np.all((rows >= lows) & (rows < lows + spans), axis=1)
+    keys = _pack(rows[inside], lows, spans)
+    side = _Side(k, identity(k), lows, spans)
+    pending = keys[side.dist_of(keys) < 0]
+    while len(pending) and side.radius < r_max:
+        if side.bytes_estimate() > cap:
+            raise ResourceCapError("memory cap exceeded during BFS")
+        side.expand()
+        pending = pending[side.dist_of(pending) < 0]
+    out = np.full(len(rows), -1, dtype=np.int64)
+    out[inside] = side.dist_of(keys)
+    return out
+
+
 def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
     """Closed ball of radius r around the identity.
 
@@ -124,9 +168,7 @@ def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
         raise ResourceCapError(
             f"estimated ball size for k={k}, r={r} exceeds memory cap"
         )
-    lows = np.array([-r] * (2 * k) + [-r * r - 1], dtype=np.int64)
-    spans = np.array([2 * r + 1] * (2 * k) + [2 * r * r + 3], dtype=np.int64)
-    side = _Side(k, identity(k), lows, spans)
+    side = _Side(k, identity(k), *_ball_window(k, r))
     for _ in range(r):
         if side.bytes_estimate() > cap:
             raise ResourceCapError("memory cap exceeded during ball BFS")
@@ -170,27 +212,21 @@ def word_distance(
 ):
     """Exact d_W(1, g), or None when the distance certifiably exceeds r_max.
 
-    Unidirectional BFS for small caps, bidirectional (meeting in the
-    middle, always expanding the smaller frontier) beyond radius 8.
+    Unidirectional BFS (_ball_distances on one row) up to radius
+    ONE_SIDED_MAX, bidirectional (meeting in the middle, always
+    expanding the smaller frontier) beyond it.
     """
     if g.is_identity():
         return 0
     if r_max < 1:
         return None
-    cap = int(mem_cap_mib * (1 << 20))
     k = g.k
+    if r_max <= ONE_SIDED_MAX:
+        d = int(_ball_distances(k, [g.coords()], r_max, mem_cap_mib)[0])
+        return None if d < 0 else d
+    cap = int(mem_cap_mib * (1 << 20))
     lows, spans = _bounds_for_pair(k, g, r_max)
     fwd = _Side(k, identity(k), lows, spans)
-    if r_max <= 8:
-        target = _pack(np.array([g.coords()], dtype=np.int64), fwd.lows, fwd.spans)[0]
-        for _ in range(r_max):
-            if fwd.bytes_estimate() > cap:
-                raise ResourceCapError("memory cap exceeded during BFS")
-            keys = fwd.expand()
-            pos = np.searchsorted(keys, target)
-            if pos < len(keys) and keys[pos] == target:
-                return fwd.radius
-        return None
     bwd = _Side(k, g, lows, spans)
     best = None
     while True:
@@ -204,12 +240,10 @@ def word_distance(
         new_keys = side.expand()
         if len(new_keys) == 0:
             return best
-        pos = np.searchsorted(other.visited_keys, new_keys)
-        pos = np.clip(pos, 0, len(other.visited_keys) - 1)
-        hit = other.visited_keys[pos] == new_keys
-        if np.any(hit):
-            total = side.radius + other.visited_dist[pos[hit]]
-            cand = int(np.min(total))
+        met = other.dist_of(new_keys)
+        met = met[met >= 0]
+        if len(met):
+            cand = side.radius + int(np.min(met))
             if best is None or cand < best:
                 best = cand
         if best is not None and best > r_max:

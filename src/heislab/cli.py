@@ -44,6 +44,7 @@ from .embeddings import (
 )
 from .errors import ConvergenceError, ResourceCapError, ValidationError
 from .lines import interval_histogram, nonmonotonicity
+from .parallel import shared_pool
 from .perimeter import (
     default_corpus,
     horizontal_perimeter,
@@ -739,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with shared_pool():
+            return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

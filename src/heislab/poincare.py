@@ -277,16 +277,46 @@ class LocalSides:
     alpha: float
 
 
+def _rhs_window(phi: LatticeFunction, R: int, mem_cap_mib: float = 4096.0) -> np.ndarray:
+    """The rows of the support and its generator neighbours that lie in
+    B_R, in lexicographic order.
+
+    A row is in B_R when its word-length upper bound is at most R; the
+    rows that bound leaves open are settled by exact distance: up to
+    radius cayley.ONE_SIDED_MAX all at once, by one breadth-first search
+    from the identity that stops when the farthest of them is reached,
+    beyond it by one bidirectional search per row.
+    """
+    from .cayley import ONE_SIDED_MAX, _ball_distances, word_distance, word_upper_bound
+
+    k = phi.k
+    S, _ = phi.support_set
+    window = FiniteSet(
+        k, np.concatenate([S.rows] + [generator_step(k, S.rows, j) for j in range(4 * k)])
+    )
+    near = window.rows[np.abs(window.rows[:, : 2 * k]).sum(axis=1) <= R]
+    inside = np.array(
+        [word_upper_bound(element_from_row(k, h)) <= R for h in near.tolist()], dtype=bool
+    )
+    open_rows = near[~inside]
+    if R <= ONE_SIDED_MAX:
+        inside[~inside] = _ball_distances(k, open_rows, R, mem_cap_mib) >= 0
+    else:
+        inside[~inside] = [
+            word_distance(element_from_row(k, h), R, mem_cap_mib) is not None
+            for h in open_rows.tolist()
+        ]
+    return near[inside]
+
+
 def local_poincare(
     phi: LatticeFunction, n: int, alpha: float = 21.0, mem_cap_mib: float = 4096.0
 ) -> LocalSides:
     """Both sides localized: lhs over h in B_n with jumps t <= n^2, rhs
-    over h in the inflated ball B_ceil(alpha n).
-
-    Ball membership for the rhs window is certified by word-length
-    bounds where possible and by exact bidirectional distance otherwise.
+    over h in the inflated ball B_ceil(alpha n), taken over the window
+    of _rhs_window (off it every rhs term is zero).
     """
-    from .cayley import ball, word_distance, word_upper_bound
+    from .cayley import ball
 
     if n < 1:
         raise ValidationError("localization radius must be >= 1")
@@ -300,22 +330,10 @@ def local_poincare(
         A[t] = float(np.abs(phi.at(up) - vB).sum())
     lhs = math.sqrt(fsum((A[t] / t) ** 2 for t in range(1, n * n + 1)))
 
-    R = math.ceil(alpha * n)
-    S, _ = phi.support_set
-    moves = range(4 * k)
-    window = FiniteSet(
-        k, np.concatenate([S.rows] + [generator_step(k, S.rows, j) for j in moves])
-    )
-
-    def in_ball(h: list) -> bool:
-        el = element_from_row(k, h)
-        return word_upper_bound(el) <= R or word_distance(el, R, mem_cap_mib) is not None
-
-    near = window.rows[np.abs(window.rows[:, : 2 * k]).sum(axis=1) <= R]
-    rows = near[[in_ball(h) for h in near.tolist()]]
+    rows = _rhs_window(phi, math.ceil(alpha * n), mem_cap_mib)
     vh = phi.at(rows)
     rhs = 0.0
-    for j in moves:
+    for j in range(4 * k):
         rhs += float(np.abs(phi.at(generator_step(k, rows, j)) - vh).sum())
     return LocalSides(lhs, rhs, n, alpha)
 

@@ -1,13 +1,17 @@
-"""Independent boundary counts for finite lattice sets, used as oracles.
+"""Independent boundary counts and ball memberships, used as oracles.
 
 Each count works member by member on coordinate tuples, apart from the
-kernel in ``heislab.perimeter`` that it checks.
+kernel in ``heislab.perimeter`` that it checks; ball membership is
+decided one row at a time, apart from the shared search of
+``heislab.cayley``.
 """
 
 import numpy as np
 
+from heislab.cayley import word_distance, word_upper_bound
 from heislab.errors import ValidationError
 from heislab.group import DiscreteElement, generators
+from heislab.perimeter import element_from_row
 
 
 def vertical_t_count(S, t: int) -> int:
@@ -47,3 +51,13 @@ def horizontal_perimeter_direct(S) -> int:
             if (g * s).coords() not in members:
                 count += 1
     return count
+
+
+def in_ball_per_row(k: int, rows, r: int, mem_cap_mib: float = 4096.0) -> np.ndarray:
+    """Membership of each row in B_r, one row at a time: a word-length
+    upper bound of at most r, else its own word_distance search."""
+    out = []
+    for h in np.asarray(rows, dtype=np.int64).tolist():
+        el = element_from_row(k, h)
+        out.append(word_upper_bound(el) <= r or word_distance(el, r, mem_cap_mib) is not None)
+    return np.array(out, dtype=bool)

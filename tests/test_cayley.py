@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heislab.cayley import (
+    _ball_distances,
     ball,
     central_word_upper_bound,
     element_from_row,
@@ -64,9 +65,38 @@ def test_growth_table_normalization():
 
 
 def test_word_distance_agrees_with_ball():
-    b = ball(2, 4)
-    for el, d in list(b.elements())[::307]:
-        assert word_distance(el, 4) == d
+    # ball(k, r + 1) also holds the sphere of radius r + 1, which word_distance
+    # must report as beyond r_max = r
+    for k, r, step in [(2, 4, 307), (1, 8, 41), (2, 8, 4001)]:
+        elements = list(ball(k, r + 1).elements())
+        sphere = [(el, d) for el, d in elements if d == r + 1]
+        for el, d in elements[::step] + sphere[:: step // 4]:
+            assert word_distance(el, r) == (d if d <= r else None)
+
+
+@pytest.mark.parametrize("k,r", [(1, 8), (2, 5)])
+def test_ball_distances_block(k, r):
+    b = ball(k, r + 1)
+    rows = b.coords[::13]
+    want = np.where(b.dists[::13] <= r, b.dists[::13], -1)
+    # rows outside the BFS window: |x_1| > r, and |w| > r^2 + 1
+    out = np.zeros((3, 2 * k + 1), dtype=np.int64)
+    out[0, 0] = r + 1
+    out[1, 2 * k] = r * r + 2
+    out[2, 2 * k] = -(r * r + 2)
+    got = _ball_distances(k, np.concatenate([out, rows, rows[:3]]), r)
+    assert got.tolist() == [-1, -1, -1] + want.tolist() + want[:3].tolist()
+    assert len(_ball_distances(k, rows[:0], r)) == 0
+
+
+def test_ball_distances_stop_at_farthest_row():
+    # the guard runs before each level: a row at distance 1 is found before
+    # the visited set outgrows the cap, one at distance 3 is not
+    near = [[1, 0, 0, 0, 0]]
+    far = [[1, 1, 1, 0, 0]]
+    assert _ball_distances(2, near, 8, mem_cap_mib=0.01).tolist() == [1]
+    with pytest.raises(ResourceCapError):
+        _ball_distances(2, near + far, 8, mem_cap_mib=0.01)
 
 
 def test_word_distance_bidirectional_regime():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from heislab import parallel
 from heislab.cli import main
 from heislab.errors import ValidationError
 from heislab.records import (
@@ -238,3 +239,33 @@ def test_rerun_byte_identical(tmp_path):
     ra, rb = read_record(a), read_record(b)
     ra.pop("wall_time_s"), rb.pop("wall_time_s")
     assert ra == rb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["box-profile", "--k", "1", "--r", "1.5", "--s-min", "0", "--s-max", "3",
+         "--steps", "4", "--mc-samples", "40000", "--seed", "3"],
+        ["nm", "--region", "two-slab:k=1,R=4,a=0.5", "--radius", "4",
+         "--lines", "600", "--steps", "30", "--seed", "11"],
+    ],
+    ids=["box-profile", "nm"],
+)
+def test_one_process_pool_per_command(tmp_path, monkeypatch, argv):
+    started, maps = [], []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            started.append(1)
+            super().__init__(*a, **kw)
+
+        def map(self, *a, **kw):
+            maps.append(1)
+            return super().map(*a, **kw)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    assert main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "w1")]) == 0
+    assert (len(started), len(maps)) == (0, 0)
+    assert main(argv + ["--workers", "2", "--out-dir", str(tmp_path / "w2")]) == 0
+    assert len(started) == 1 and len(maps) >= 2
+    assert parallel._scope is None  # the pool ends with the command

@@ -96,9 +96,12 @@ def test_key_window_overflow_is_refused():
     far = DiscreteElement(1, (2**40,), (2**40,), 0)
     with pytest.raises(ResourceCapError) as set_err:
         FiniteSet(1, [(0, 0, 0), far.coords()])
+    # the bidirectional search packs keys over a window holding 1 and far
     with pytest.raises(ResourceCapError) as bfs_err:
-        word_distance(far, 2)
+        word_distance(far, 9)
     assert str(set_err.value) == str(bfs_err.value)
+    # the one-sided search packs over the ball's own window, which far leaves
+    assert word_distance(far, 2) is None
     # a window of 2^62 keys fits; each isolated point exits along every move
     S = FiniteSet(1, [(0, 0, 0), (2**31 - 1, 2**31 - 1, 0)])
     assert horizontal_perimeter(S) == horizontal_perimeter_direct(S) == 8

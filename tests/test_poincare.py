@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.errors import ValidationError
+from heislab.errors import ResourceCapError, ValidationError
 from heislab.perimeter import (
+    FiniteSet,
     box_set,
+    generator_step,
     horizontal_perimeter,
     random_blob,
     vertical_perimeter,
 )
 from heislab.poincare import (
     LatticeFunction,
+    _rhs_window,
     coarea,
     coset_partition,
     local_poincare,
@@ -19,6 +22,7 @@ from heislab.poincare import (
     poincare_sides,
     sublevel_set,
 )
+from lattice_oracles import in_ball_per_row
 
 CASES = st.tuples(
     st.integers(min_value=1, max_value=2),
@@ -96,6 +100,49 @@ def test_local_window_covers_small_support():
     glob = poincare_sides(phi)
     assert loc.rhs == pytest.approx(glob.rhs)  # alpha n = 42 swallows the support
     assert loc.lhs <= glob.lhs + 1e-9
+
+
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=20, deadline=None)
+def test_rhs_window_matches_per_row_oracle(k, size, seed, R):
+    # a blob around the identity plus central rows just beyond the BFS
+    # window (|w| > R^2 + 1) that still pass the |x|_1 <= R prefilter
+    far = np.zeros((4, 2 * k + 1), dtype=np.int64)
+    far[:, 2 * k] = [R * R + 2, -(R * R + 2), R * R + 1, -(R * R + 1)]
+    far[2:, 0] = 1
+    rows = np.concatenate([random_blob(k, size, seed).rows, far])
+    phi = LatticeFunction.indicator(FiniteSet(k, rows))
+    cand = FiniteSet(
+        k, np.concatenate([rows] + [generator_step(k, rows, j) for j in range(4 * k)])
+    ).rows
+    cand = cand[np.abs(cand[:, : 2 * k]).sum(axis=1) <= R]
+    want = cand[in_ball_per_row(k, cand, R)]
+    assert np.array_equal(_rhs_window(phi, R), want)
+
+
+def test_rhs_window_bidirectional_regime():
+    # R = 10 keeps the per-row bidirectional search; about 100 of the rows
+    # it settles lie in the ball without a word-length bound showing it
+    S = box_set(1, 3, 3, 16)
+    phi = LatticeFunction.indicator(S)
+    cand = FiniteSet(
+        1, np.concatenate([S.rows] + [generator_step(1, S.rows, j) for j in range(4)])
+    ).rows
+    want = cand[in_ball_per_row(1, cand, 10)]
+    got = _rhs_window(phi, 10)
+    assert np.array_equal(got, want)
+    assert 0 < len(got) < len(cand)
+
+
+def test_local_window_memory_cap():
+    phi = LatticeFunction.random_integer(box_set(2, 3, 3, 6), -2, 3, 5)
+    with pytest.raises(ResourceCapError):
+        local_poincare(phi, 1, alpha=8.0, mem_cap_mib=0.5)
 
 
 def test_local_lhs_grows_with_n():
