@@ -53,11 +53,11 @@ def horizontal_perimeter_direct(S) -> int:
     return count
 
 
-def in_ball_per_row(k: int, rows, r: int, mem_cap_mib: float = 4096.0) -> np.ndarray:
+def in_ball_per_row(k: int, rows, r: int) -> np.ndarray:
     """Membership of each row in B_r, one row at a time: a word-length
     upper bound of at most r, else its own word_distance search."""
     out = []
     for h in np.asarray(rows, dtype=np.int64).tolist():
         el = element_from_row(k, h)
-        out.append(word_upper_bound(el) <= r or word_distance(el, r, mem_cap_mib) is not None)
+        out.append(word_upper_bound(el) <= r or word_distance(el, r) is not None)
     return np.array(out, dtype=bool)

@@ -242,16 +242,17 @@ def test_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,data_file",
     [
-        ["box-profile", "--k", "1", "--r", "1.5", "--s-min", "0", "--s-max", "3",
-         "--steps", "4", "--mc-samples", "40000", "--seed", "3"],
-        ["nm", "--region", "two-slab:k=1,R=4,a=0.5", "--radius", "4",
-         "--lines", "600", "--steps", "30", "--seed", "11"],
+        (["box-profile", "--k", "1", "--r", "1.5", "--s-min", "0", "--s-max", "3",
+          "--steps", "4", "--mc-samples", "40000", "--seed", "3"], "profile_mc.csv"),
+        (["nm", "--region", "two-slab:k=1,R=4,a=0.5", "--radius", "4",
+          "--lines", "600", "--steps", "30", "--seed", "11"], "nm.json"),
     ],
     ids=["box-profile", "nm"],
 )
-def test_one_process_pool_per_command(tmp_path, monkeypatch, argv):
+def test_one_process_pool_per_command(tmp_path, monkeypatch, argv, data_file):
+    # several blocks per block_map call, and several calls per command
     started, maps = [], []
 
     class CountingPool(parallel.ProcessPoolExecutor):
@@ -269,3 +270,5 @@ def test_one_process_pool_per_command(tmp_path, monkeypatch, argv):
     assert main(argv + ["--workers", "2", "--out-dir", str(tmp_path / "w2")]) == 0
     assert len(started) == 1 and len(maps) >= 2
     assert parallel._scope is None  # the pool ends with the command
+    w1, w2 = (tmp_path / w / data_file for w in ("w1", "w2"))
+    assert w1.read_bytes() == w2.read_bytes()

@@ -102,6 +102,16 @@ def test_local_window_covers_small_support():
     assert loc.lhs <= glob.lhs + 1e-9
 
 
+def _window_oracle(k, rows, R):
+    """The support rows and their generator neighbours with |x|_1 <= R
+    that lie in B_R, decided one row at a time."""
+    cand = FiniteSet(
+        k, np.concatenate([rows] + [generator_step(k, rows, j) for j in range(4 * k)])
+    ).rows
+    cand = cand[np.abs(cand[:, : 2 * k]).sum(axis=1) <= R]
+    return cand[in_ball_per_row(k, cand, R)]
+
+
 @given(
     st.integers(min_value=1, max_value=2),
     st.integers(min_value=2, max_value=12),
@@ -117,26 +127,16 @@ def test_rhs_window_matches_per_row_oracle(k, size, seed, R):
     far[2:, 0] = 1
     rows = np.concatenate([random_blob(k, size, seed).rows, far])
     phi = LatticeFunction.indicator(FiniteSet(k, rows))
-    cand = FiniteSet(
-        k, np.concatenate([rows] + [generator_step(k, rows, j) for j in range(4 * k)])
-    ).rows
-    cand = cand[np.abs(cand[:, : 2 * k]).sum(axis=1) <= R]
-    want = cand[in_ball_per_row(k, cand, R)]
-    assert np.array_equal(_rhs_window(phi, R), want)
+    assert np.array_equal(_rhs_window(phi, R), _window_oracle(k, rows, R))
 
 
 def test_rhs_window_bidirectional_regime():
     # R = 10 keeps the per-row bidirectional search; about 100 of the rows
     # it settles lie in the ball without a word-length bound showing it
     S = box_set(1, 3, 3, 16)
-    phi = LatticeFunction.indicator(S)
-    cand = FiniteSet(
-        1, np.concatenate([S.rows] + [generator_step(1, S.rows, j) for j in range(4)])
-    ).rows
-    want = cand[in_ball_per_row(1, cand, 10)]
-    got = _rhs_window(phi, 10)
-    assert np.array_equal(got, want)
-    assert 0 < len(got) < len(cand)
+    got = _rhs_window(LatticeFunction.indicator(S), 10)
+    assert np.array_equal(got, _window_oracle(1, S.rows, 10))
+    assert 0 < np.count_nonzero(S.locate(got) >= 0) < S.size  # B_10 cuts the box
 
 
 def test_local_window_memory_cap():
