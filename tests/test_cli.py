@@ -182,7 +182,7 @@ def test_sparsest_cut_command(tmp_path):
     assert (tmp_path / "instance.txt").exists()
 
 
-def test_sparsest_cut_nonconverged_exit(tmp_path):
+def test_sparsest_cut_nonconverged_exit(tmp_path, capsys):
     rc = main(
         ["sparsest-cut", "--random", "6,17", "--solver", "sdp",
          "--sdp-max-iter", "5", "--out-dir", str(tmp_path)]
@@ -191,6 +191,9 @@ def test_sparsest_cut_nonconverged_exit(tmp_path):
     obj = json.loads((tmp_path / "sparsest_cut.json").read_text())
     assert obj["sdp"]["converged"] is False
     assert (tmp_path / "run_record.json").exists()  # written before the exit
+    captured = capsys.readouterr()  # so is the summary
+    assert captured.out.startswith("sparsest-cut: n = 6, sdp ")
+    assert captured.err == "error: sdp stopped at 5 iterations without meeting tolerances\n"
 
 
 def test_duality_command(tmp_path):

@@ -13,6 +13,11 @@ before the metric codec, the cut-incidence matrix and the triangle rows
 were merged.  Their floats depend on the BLAS thread count, so they are
 computed in one child process with every BLAS pool pinned to one thread
 before numpy is imported.
+
+The ``run_record.json`` digests (taken with ``wall_time_s`` dropped), the
+``box-profile`` and ``nm`` cases and the stdout summary lines were
+recorded before the command frame moved into ``cli.main``: the frame
+must leave every record, data file and summary unchanged.
 """
 
 import hashlib
@@ -33,6 +38,7 @@ GOLDEN = {
         {
             "ratios.csv": "90e98ed7d32404d3d4bb3e93aa0f4c71ea43d54cc8413d558bf97395e0330340",
             "summary.json": "53f46d13299df951561b48f2bbe0fd4c95d1f3a968e18dc0691c8fb30d19978d",
+            "run_record.json": "8d2b5bddf3c66dab6d352389b8e365b935ccb2be51889726b20e712bfd46d313",
         },
     ),
     "isoperim-box": (
@@ -40,6 +46,7 @@ GOLDEN = {
         {
             "ratios.csv": "4553ff8f4f1a9cf056348d31fd582c527f5f9e596a3c56bffa071fce91c265ad",
             "spectrum.csv": "b00ecc17c68e8668f9a53097ae9fe3374a304fadfc821964f61944ff87a5e19b",
+            "run_record.json": "d9f55cba0ee8bedd885066632565fe3727c6c89313b53995e8ae839a302fac81",
         },
     ),
     "isoperim-blob": (
@@ -47,6 +54,7 @@ GOLDEN = {
         {
             "ratios.csv": "a84f6e6d726121761bf1b1d19a9777e783f419ae991057a7774121de02f1442a",
             "spectrum.csv": "3af627768a0ea69288b965f1d1e7aa79f511b3d2c0c14d909b37625d759817dc",
+            "run_record.json": "18358ad9bbbd2bc8233f6527ed90121ab640cabb3c731de0652d0af64c275e08",
         },
     ),
     "growth": (
@@ -55,6 +63,7 @@ GOLDEN = {
             "growth.csv": "dff2dc611dbd67928068409ff1bc0ee674624811cc933e592b31dc057ecd74ee",
             "z_powers.csv": "8424a6c8d2e37270adc0721e4ec3115d27894f7b907fb69f70264739c0c6ab9d",
             "ball.txt": "3fe54119f2e130bdee3b9bfaad9e97143016f8f08df36b0c5de4903e2095f768",
+            "run_record.json": "668ba63ac34cf48c4142864d19dc0ddf151489502706d40283c668ec4bf32012",
         },
     ),
     "poincare": (
@@ -62,6 +71,7 @@ GOLDEN = {
          "--seed", "2", "--local", "2", "--alpha", "2.0"],
         {
             "poincare.json": "ebdf8358d1966e337e30525915c51d57b17a43fd69005c2a0540226ea2f3c008",
+            "run_record.json": "bbbba750ac791c6165431174dfbc6659f34640db20ef97a634b12bf3ad405391",
         },
     ),
     "poincare-box-k2": (
@@ -69,6 +79,7 @@ GOLDEN = {
          "--seed", "4", "--local", "2", "--alpha", "2.0"],
         {
             "poincare.json": "64c6121d812f2ed63dd942968ac1573121d9ea4861ffb80ffab93d068628e7e4",
+            "run_record.json": "d08f702e2af0fc4660053ec121addd5d6dd88b0c9ffc760606a656415cadd71d",
         },
     ),
     "poincare-default-alpha": (
@@ -76,24 +87,72 @@ GOLDEN = {
          "--seed", "2", "--local", "1"],
         {
             "poincare.json": "084597a305e1eceec2f3581264097e8a74dc18248b7a9e34187756dd87e23e0a",
+            "run_record.json": "9bdb4118b95aca5ebea9443e478d07f99e3185f272ef9a7516775f93ec1cfea2",
         },
     ),
     "voxelize": (
         ["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.25", "--seed", "5"],
         {
             "voxels.txt": "a92d805d263780bcf2a51a45ca58a53f513ee97fae5181f0e63084b8b2c6c500",
+            "run_record.json": "e6b7180fac6f5ca0d40a0633fc61bccea43af02e47f3ae06222fabe5c7b0a8b0",
+        },
+    ),
+    "box-profile": (
+        ["box-profile", "--k", "1", "--r", "1.5", "--s-min", "0", "--s-max", "3",
+         "--steps", "7", "--mc-samples", "8000", "--seed", "3"],
+        {
+            "profile.csv": "a31f689b46b4919a6a8b9ba634210602d7a78aa44034cbbe972a9203a960d270",
+            "profile_mc.csv": "bf2c17b2239b9ee661a94f82129599500f78405a18106dd191113bb45a2eefe2",
+            "plot.gp": "ceb55d19d422c3c5b8365856746aa6ceef0339b0373ca2fa5a3a84942719b881",
+            "run_record.json": "bacf0ae546541ffae7fcc815f18da6cf798876b99aed813bad4eb5fbcdfa7113",
+        },
+    ),
+    "nm": (
+        ["nm", "--region", "two-slab:k=1,R=4,a=0.5", "--radius", "4",
+         "--lines", "96", "--steps", "60", "--seed", "11"],
+        {
+            "nm.json": "a93077847720d326dc70fcc3b3fb8b2b79bf45ae4be21ab043e8ea078d4af041",
+            "run_record.json": "7eea0c938e18a094af8fc64e20e817a2ffd5b6b5555fa0033e0c976f83d3defa",
         },
     ),
 }
 
 
+# the exact stdout line of one case per command
+SUMMARIES = {
+    "growth": "growth: |B_6| = 593 at k=1, normalized 0.457562",
+    "isoperim-box": "isoperim: 1 set(s), max ratio 0.76871 at set0 = box(4,4,8)",
+    "box-profile": "box-profile: knee at s = 1.08496, l2 closed form 45.8634, "
+                   "grid quadrature 45.8683",
+    "nm": "nm: value 0.0329861 +- 0.0072 (z = 4.61)",
+    "voxelize": "voxelize: 142 cells at h = 0.25, volume estimate 0.554688",
+    "poincare": "poincare: indicator lhs 299.289 vs rhs 584, "
+                "function lhs 868.903 vs rhs 2528",
+    "c1-bipartite": "c1: distortion 1.33333333 (exact), 9 cuts",
+    "sparsest-random-6": "sparsest-cut: n = 6, opt 0.241072267, lp 0.241072267, "
+                         "sdp 0.241072267",
+    "duality-search": "duality: distortion 1.060141, cut optimum 1.060141, "
+                      "certified gap >= 1.060141",
+}
+
+
+def _digest(path: Path) -> str:
+    """SHA-256 of a file; of a run record, with its wall time dropped."""
+    if path.name != "run_record.json":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    record = json.loads(path.read_text())
+    record.pop("wall_time_s")
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_digests(tmp_path, name):
+def test_golden_digests(tmp_path, capsys, name):
     argv, digests = GOLDEN[name]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     for fname, want in digests.items():
-        got = hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
-        assert got == want, fname
+        assert _digest(tmp_path / fname) == want, fname
+    if name in SUMMARIES:
+        assert capsys.readouterr().out == SUMMARIES[name] + "\n"
 
 
 # n = 6, unit capacities on the 6-cycle, unit demand on every pair: the
@@ -105,18 +164,21 @@ SOLVER_GOLDEN = {
         ["c1", "--demo", "bipartite:2,3", "--refine", "on"],
         {
             "c1.json": "faca6cf008fbe8c9ddb88e29dc5181ba5b7870f39b22ef22451f613e4db982cc",
+            "run_record.json": "009e64506902546c9f828692ada73247ee0913f21fe25301dedfe949f7f23f02",
         },
     ),
     "c1-random": (
         ["c1", "--demo", "random:8,5", "--refine", "on"],
         {
             "c1.json": "d7cc982aae15c621c2a4bbde3c9736d9429214e14d9821d50f4effe9cf2db1e8",
+            "run_record.json": "33db3663d92bbc846f2b799d2a7d53047521b22c4365c0b6d7fe85bf082108c3",
         },
     ),
     "c1-ball": (
         ["c1", "--demo", "ball:1,2", "--subsample", "9"],
         {
             "c1.json": "d646e95716409c885f0afac2eb039f51827df3847629a2823eae1419bbf9410c",
+            "run_record.json": "69b465a9805cf21b24465deabcad158e26ab45e5649e9b1edd42e84289238e0a",
         },
     ),
     "sparsest-random-8": (
@@ -124,6 +186,7 @@ SOLVER_GOLDEN = {
         {
             "instance.txt": "5757efbbb738c56de11c2cfc0d23ef1320f6178d126c90c46a9266a03578c320",
             "sparsest_cut.json": "42bbe36fdac7a04a89d57b7e664a038a8e6178962f1b58134cae81301c2b13af",
+            "run_record.json": "32215114fa22cbcd6aae1d1611d1d83948ec889035d974a29c3456232744869f",
         },
     ),
     "sparsest-random-6": (
@@ -131,6 +194,7 @@ SOLVER_GOLDEN = {
         {
             "instance.txt": "e7814d52003d2e32c4172100aaafdc13aa4874b893d4831e14c6d32af864a49f",
             "sparsest_cut.json": "5935928d93631fb1f6f07e7fd96eb65aea17da3daffc24b332cba40974468bd2",
+            "run_record.json": "3f6c8510bd0b444a7a8f47af6467cc5107fc6b9ec7ba7d505bd2685c76943b4a",
         },
     ),
     "sparsest-cycle6": (
@@ -138,6 +202,7 @@ SOLVER_GOLDEN = {
         {
             "instance.txt": "ea3a1cb61ad06350c494cb5a976ef16f3d5a86397097b976b7990abb269565a8",
             "sparsest_cut.json": "0bd25097812d065abc584731c0067a6d8ac847dca5a4715a37240463d8530be8",
+            "run_record.json": "0a7c632451cbcb47fc2f027541c24b0bf9e12cafb02bc767d36ad044c04054da",
         },
     ),
     "duality-search": (
@@ -145,28 +210,27 @@ SOLVER_GOLDEN = {
         {
             "instance.txt": "13c66653c287530dd891ecedbf75e4caef9f8d84fb7eb0a2cdf42c1fd06ae453",
             "duality.json": "12c047e6602355fc82ede908bd952a86b5ddf4a23cf52f970c546a2f93587eb6",
+            "run_record.json": "f8fdd91ceab93c23da367d29351efa902027a97a2e6026222d49471308458f4b",
         },
     ),
 }
 
 _CHILD = """
-import contextlib, hashlib, io, json, sys
+import contextlib, io, json, sys
 from heislab.cli import main
 out = {}
-for name, (argv, files) in json.loads(sys.argv[1]).items():
-    with contextlib.redirect_stdout(io.StringIO()):
+for name, argv in json.loads(sys.argv[1]).items():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
         rc = main(argv + ["--out-dir", name])
-    digests = {}
-    for fname in files:
-        with open(f"{name}/{fname}", "rb") as fh:
-            digests[fname] = hashlib.sha256(fh.read()).hexdigest()
-    out[name] = [rc, digests]
+    out[name] = [rc, buf.getvalue()]
 print(json.dumps(out))
 """
 
 
 @pytest.fixture(scope="module")
-def solver_digests(tmp_path_factory):
+def solver_runs(tmp_path_factory):
+    """(root, {case: [exit code, stdout]}) of every solver case, run in one child."""
     root = tmp_path_factory.mktemp("solver_golden")
     (root / "cycle6.txt").write_text(CYCLE6)
     env = dict(os.environ)
@@ -174,15 +238,20 @@ def solver_digests(tmp_path_factory):
         env[var] = "1"
     src = str(Path(heislab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argvs = {name: argv for name, (argv, _) in SOLVER_GOLDEN.items()}
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(SOLVER_GOLDEN)],
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
         cwd=root, env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout)
+    return root, json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVER_GOLDEN))
-def test_solver_golden_digests(solver_digests, name):
-    rc, got = solver_digests[name]
+def test_solver_golden_digests(solver_runs, name):
+    root, runs = solver_runs
+    rc, stdout = runs[name]
     assert rc == 0
+    got = {fname: _digest(root / name / fname) for fname in SOLVER_GOLDEN[name][1]}
     assert got == SOLVER_GOLDEN[name][1]
+    if name in SUMMARIES:
+        assert stdout == SUMMARIES[name] + "\n"
