@@ -30,13 +30,6 @@ from .perimeter import FiniteSet, _pack, check_key_window, element_from_row, gen
 ONE_SIDED_MAX = 8
 
 
-def _estimated_ball_bytes(k: int, r: int) -> int:
-    # member count heuristic 4k * (r+1)^(2k+2); each member stores
-    # 2k+1 coordinates plus a key and a distance, 8 bytes each
-    members = 4 * k * (r + 1) ** (2 * k + 2)
-    return members * 8 * (2 * k + 3)
-
-
 class _Side:
     """One direction of a (possibly bidirectional) BFS."""
 
@@ -134,9 +127,8 @@ def _ball_distances(k: int, rows, r_max: int, mem_cap_mib: float = 4096.0) -> np
     One BFS from the identity over the window of ball(k, r_max), which
     stops as soon as every row inside that window has been reached; rows
     outside it lie outside B_r_max.  Memory is guarded level by level
-    against the visited set, as in word_distance, and not by ball()'s
-    upfront size heuristic, so the search only grows as far as the
-    farthest row asks.
+    against the visited set, as in ball() and word_distance, so the
+    search only grows as far as the farthest row asks.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * k + 1)
     cap = int(mem_cap_mib * (1 << 20))
@@ -158,16 +150,12 @@ def _ball_distances(k: int, rows, r_max: int, mem_cap_mib: float = 4096.0) -> np
 def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
     """Closed ball of radius r around the identity.
 
-    Memory is guarded twice: once upfront from the size heuristic, and
-    incrementally against the actual visited set while levels expand.
+    Memory is guarded level by level against the visited set and the
+    next frontier, so only a ball that outgrows the cap is refused.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
     cap = int(mem_cap_mib * (1 << 20))
-    if _estimated_ball_bytes(k, r) > cap:
-        raise ResourceCapError(
-            f"estimated ball size for k={k}, r={r} exceeds memory cap"
-        )
     side = _Side(k, identity(k), *_ball_window(k, r))
     for _ in range(r):
         if side.bytes_estimate() > cap:

@@ -226,6 +226,14 @@ def test_bad_region_exit_code(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+def test_growth_under_mem_cap(tmp_path):
+    # ball(2, 8) has 28,825 points, about 1.5 MiB
+    rc = main(["growth", "--k", "2", "--r-max", "8", "--mem-cap-mib", "100",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "growth.csv").read_text().splitlines()[-1].startswith("8,28825,")
+
+
 def test_resource_cap_exit_code(tmp_path):
     rc = main(["growth", "--k", "2", "--r-max", "8", "--mem-cap-mib", "0.01",
                "--out-dir", str(tmp_path)])
