@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every subcommand computes one study artifact, writes its output files
-into ``--out-dir``, and drops a ``run_record.json`` describing the exact
-configuration.  All numeric output is formatted so that reruns with the
-same flags produce byte-identical files; ``run_record.json`` differs
-only in ``wall_time_s``.
+Every subcommand computes one study artifact into ``--out-dir``.  All
+numeric output is formatted so that reruns with the same flags produce
+byte-identical files; ``run_record.json`` differs only in ``wall_time_s``.
+
+A command is ``cmd_*(args, out) -> (params, summary)``: it writes its
+data files through ``out`` and returns its configuration and a one-line
+summary.  The frame in ``main`` does the rest: it creates ``out``, writes
+``run_record.json`` from params and the names ``out`` wrote, prints the
+summary and sets the exit code.
 
 Exit codes: 0 success, 2 bad input, 3 resource cap exceeded,
 4 iterative solver failed to converge (results are still written).
@@ -16,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +58,7 @@ from .perimeter import (
     vertical_spectrum,
 )
 from .poincare import LatticeFunction, coarea, local_poincare, poincare_sides
-from .records import format_value, write_run_record
+from .records import format_value, run_record
 from .sparsecut import (
     Instance,
     duality_harness,
@@ -66,53 +71,51 @@ from .sparsecut import (
 _F = format_value
 
 
-def _write_json(path: Path, obj) -> Path:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+class _OutDir:
+    """A command's output directory; notes the name of every file it writes."""
 
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.names: list[str] = []
+        self.unconverged: str | None = None  # exit 4 once everything is written
 
-def _write_csv(path: Path, header: str, rows) -> Path:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    return path
+    def lines(self, name: str, lines) -> None:
+        self.names.append(name)
+        with open(self.path / name, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
 
+    def text(self, name: str, text: str) -> None:
+        self.names.append(name)
+        with open(self.path / name, "w") as fh:
+            fh.write(text)
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def csv(self, name: str, header: str, rows) -> None:
+        self.lines(name, chain([header], (",".join(row) for row in rows)))
+
+    def json(self, name: str, obj) -> None:
+        self.text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # -- growth ------------------------------------------------------------------
 
 
-def cmd_growth(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_growth(args, out) -> tuple[dict, str]:
     rows = growth_table(args.k, args.r_max, args.mem_cap_mib)
-    files = [
-        _write_csv(
-            out / "growth.csv",
-            "r,count,normalized",
-            ([str(r), str(c), _F(norm)] for r, c, norm in rows),
-        )
-    ]
+    out.csv(
+        "growth.csv",
+        "r,count,normalized",
+        ([str(r), str(c), _F(norm)] for r, c, norm in rows),
+    )
     if args.z_powers > 0:
         zrows = []
         for t in range(1, args.z_powers + 1):
             zrows.append([str(t), str(z_power_distance(args.k, t, mem_cap_mib=args.mem_cap_mib))])
-        files.append(_write_csv(out / "z_powers.csv", "t,distance", zrows))
+        out.csv("z_powers.csv", "t,distance", zrows)
     if args.dump_ball:
         b = ball(args.k, args.r_max, args.mem_cap_mib)
-        path = out / "ball.txt"
-        with open(path, "w") as fh:
-            for el, dist in b.elements():
-                fh.write(f"{el.to_text()} {dist}\n")
-        files.append(path)
+        out.lines("ball.txt", (f"{el.to_text()} {dist}" for el, dist in b.elements()))
     params = {
         "k": args.k,
         "r_max": args.r_max,
@@ -120,10 +123,8 @@ def cmd_growth(args) -> int:
         "dump_ball": args.dump_ball,
         "mem_cap_mib": args.mem_cap_mib,
     }
-    files.append(write_run_record(out, "growth", params, [f.name for f in files], t0))
     r, count, norm = rows[-1]
-    print(f"growth: |B_{r}| = {count} at k={args.k}, normalized {norm:.6g}")
-    return 0
+    return params, f"growth: |B_{r}| = {count} at k={args.k}, normalized {norm:.6g}"
 
 
 # -- isoperim ----------------------------------------------------------------
@@ -136,9 +137,7 @@ def _lq_head(spec, q: float) -> float:
     return total ** (1.0 / q)
 
 
-def cmd_isoperim(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_isoperim(args, out) -> tuple[dict, str]:
     entries = []
     if args.corpus:
         for set_id, spec, S in default_corpus(args.k, args.seed):
@@ -164,23 +163,21 @@ def cmd_isoperim(args) -> int:
         rows.append(row)
         if ratio > worst[0]:
             worst = (ratio, set_id, spec)
-    files = [_write_csv(out / "ratios.csv", header, rows)]
-    files.append(
-        _write_json(
-            out / "summary.json",
-            {
-                "n_sets": len(entries),
-                "max_ratio": worst[0],
-                "argmax_set_id": worst[1],
-                "argmax_spec": worst[2],
-            },
-        )
+    out.csv("ratios.csv", header, rows)
+    out.json(
+        "summary.json",
+        {
+            "n_sets": len(entries),
+            "max_ratio": worst[0],
+            "argmax_set_id": worst[1],
+            "argmax_spec": worst[2],
+        },
     )
 
     if len(entries) == 1:  # vspec is still the one set's spectrum
         srows = [[str(t), str(int(c))] for t, c in enumerate(vspec.head.tolist(), 1)]
         srows.append(["tail", _F(vspec.tail_sq)])
-        files.append(_write_csv(out / "spectrum.csv", "t,count", srows))
+        out.csv("spectrum.csv", "t,count", srows)
 
     params = {
         "k": args.k,
@@ -189,12 +186,10 @@ def cmd_isoperim(args) -> int:
         "set": ";".join(args.set or []),
         "lq": "" if args.lq is None else args.lq,
     }
-    files.append(write_run_record(out, "isoperim", params, [f.name for f in files], t0))
-    print(
+    return params, (
         f"isoperim: {len(entries)} set(s), max ratio {worst[0]:.6g} "
         f"at {worst[1]} = {worst[2]}"
     )
-    return 0
 
 
 # -- box-profile ---------------------------------------------------------------
@@ -223,25 +218,20 @@ def _plot_script(series: list[tuple[str, str]]) -> str:
     return _PLOT_TEMPLATE.format(series=", \\\n     ".join(parts))
 
 
-def cmd_box_profile(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_box_profile(args, out) -> tuple[dict, str]:
     grid = np.linspace(args.s_min, args.s_max, args.steps)
     exact = box_vertical_profile(args.k, args.r, grid)
     rows = [[_F(float(s)), _F(float(v)), "0"] for s, v in zip(grid, exact)]
-    files = [_write_csv(out / "profile.csv", "s,value,stderr", rows)]
+    out.csv("profile.csv", "s,value,stderr", rows)
     series = [("profile.csv", "closed form")]
     if args.mc_samples > 0:
         mc = mc_vertical_profile(
             Box(args.k, args.r), grid, args.mc_samples, args.seed, args.workers
         )
         mrows = [[_F(p.s), _F(p.value), _F(p.stderr)] for p in mc]
-        files.append(_write_csv(out / "profile_mc.csv", "s,value,stderr", mrows))
+        out.csv("profile_mc.csv", "s,value,stderr", mrows)
         series.append(("profile_mc.csv", "monte carlo"))
-    plot = out / "plot.gp"
-    with open(plot, "w") as fh:
-        fh.write(_plot_script(series))
-    files.append(plot)
+    out.text("plot.gp", _plot_script(series))
     params = {
         "k": args.k,
         "r": args.r,
@@ -252,22 +242,18 @@ def cmd_box_profile(args) -> int:
         "seed": args.seed,
         "workers": args.workers,
     }
-    files.append(write_run_record(out, "box-profile", params, [f.name for f in files], t0))
     l2_closed = box_profile_l2(args.k, args.r)
     l2_grid = profile_l2_norm(grid, np.asarray(exact, dtype=float))
-    print(
+    return params, (
         f"box-profile: knee at s = {box_profile_knee(args.r):.6g}, "
         f"l2 closed form {l2_closed:.6g}, grid quadrature {l2_grid:.6g}"
     )
-    return 0
 
 
 # -- nm ------------------------------------------------------------------------
 
 
-def cmd_nm(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_nm(args, out) -> tuple[dict, str]:
     region = parse_region(args.region)
     rep = nonmonotonicity(
         region, args.radius, args.lines, args.seed, args.steps, args.workers
@@ -292,7 +278,7 @@ def cmd_nm(args) -> int:
         "censored": hist.censored,
         "runs": hist.runs,
     }
-    files = [_write_json(out / "nm.json", obj)]
+    out.json("nm.json", obj)
     params = {
         "region": args.region,
         "radius": args.radius,
@@ -301,25 +287,17 @@ def cmd_nm(args) -> int:
         "seed": args.seed,
         "workers": args.workers,
     }
-    files.append(write_run_record(out, "nm", params, [f.name for f in files], t0))
     ztext = "n/a" if z is None else f"{z:.2f}"
-    print(f"nm: value {rep.value:.6g} +- {rep.stderr:.2g} (z = {ztext})")
-    return 0
+    return params, f"nm: value {rep.value:.6g} +- {rep.stderr:.2g} (z = {ztext})"
 
 
 # -- voxelize --------------------------------------------------------------------
 
 
-def cmd_voxelize(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_voxelize(args, out) -> tuple[dict, str]:
     region = parse_region(args.region)
     S = voxelize(region, args.h, args.samples_per_cell, args.seed, args.workers)
-    path = out / "voxels.txt"
-    with open(path, "w") as fh:
-        for line in S.to_lines():
-            fh.write(line + "\n")
-    files = [path]
+    out.lines("voxels.txt", S.to_lines())
     params = {
         "region": args.region,
         "h": args.h,
@@ -327,10 +305,8 @@ def cmd_voxelize(args) -> int:
         "seed": args.seed,
         "workers": args.workers,
     }
-    files.append(write_run_record(out, "voxelize", params, [f.name for f in files], t0))
     vol = S.size * args.h ** (2 * region.k + 2)
-    print(f"voxelize: {S.size} cells at h = {args.h:g}, volume estimate {vol:.6g}")
-    return 0
+    return params, f"voxelize: {S.size} cells at h = {args.h:g}, volume estimate {vol:.6g}"
 
 
 # -- metric inputs -----------------------------------------------------------------
@@ -374,9 +350,7 @@ def _load_metric(args) -> tuple[MetricSpace, str]:
 # -- c1 -----------------------------------------------------------------------------
 
 
-def cmd_c1(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_c1(args, out) -> tuple[dict, str]:
     ms, source = _load_metric(args)
     if args.subsample is not None:
         if args.subsample < ms.n:
@@ -400,12 +374,10 @@ def cmd_c1(args) -> int:
         "replay_min_ratio": lo,
         "replay_max_ratio": hi,
     }
-    files = [_write_json(out / "c1.json", obj)]
+    out.json("c1.json", obj)
     params = {"source": source, "refine": args.refine}
-    files.append(write_run_record(out, "c1", params, [f.name for f in files], t0))
     tag = "exact" if rep.exact else "float"
-    print(f"c1: distortion {rep.distortion:.9g} ({tag}), {len(rep.cuts.entries)} cuts")
-    return 0
+    return params, f"c1: distortion {rep.distortion:.9g} ({tag}), {len(rep.cuts.entries)} cuts"
 
 
 # -- sparsest-cut --------------------------------------------------------------------
@@ -468,9 +440,17 @@ def _sdp_block(sdp) -> dict:
     }
 
 
+def _flag_unconverged(out: _OutDir, sdp) -> None:
+    if not sdp.converged:
+        out.unconverged = (
+            f"sdp stopped at {sdp.iterations} iterations without meeting tolerances"
+        )
+
+
 def _load_instance(args) -> tuple[Instance, str]:
     if args.instance is not None:
-        return Instance.load(args.instance), f"file:{args.instance}"
+        with open(args.instance) as fh:
+            return Instance.from_text(fh.read()), f"file:{args.instance}"
     try:
         n, seed = (int(v) for v in args.random.split(","))
     except ValueError:
@@ -478,9 +458,7 @@ def _load_instance(args) -> tuple[Instance, str]:
     return random_instance(n, seed), f"random:{n},{seed}"
 
 
-def cmd_sparsest_cut(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_sparsest_cut(args, out) -> tuple[dict, str]:
     inst, source = _load_instance(args)
     obj = {"kind": "sparsest_cut", "source": source, "n": inst.n}
     want = ("lp", "sdp", "opt") if args.solver == "all" else (args.solver,)
@@ -488,36 +466,28 @@ def cmd_sparsest_cut(args) -> int:
         obj["opt"] = _opt_block(inst, opt_bruteforce(inst))
     if "lp" in want:
         obj["lp"] = _lp_block(inst, lp_relaxation(inst))
-    sdp = None
     if "sdp" in want:
         sdp = gl_sdp(inst, max_iter=args.sdp_max_iter)
         obj["sdp"] = _sdp_block(sdp)
+        _flag_unconverged(out, sdp)
     if "opt" in obj and "lp" in obj and obj["lp"]["value"] > 0:
         obj["lp_gap"] = obj["opt"]["value"] / obj["lp"]["value"]
     if "opt" in obj and "sdp" in obj and obj["sdp"]["value"] > 0:
         obj["sdp_gap"] = obj["opt"]["value"] / obj["sdp"]["value"]
 
-    inst.save(out / "instance.txt")
-    files = [out / "instance.txt", _write_json(out / "sparsest_cut.json", obj)]
+    out.text("instance.txt", inst.to_text())
+    out.json("sparsest_cut.json", obj)
     params = {"source": source, "solver": args.solver, "sdp_max_iter": args.sdp_max_iter}
-    files.append(write_run_record(out, "sparsest-cut", params, [f.name for f in files], t0))
     parts = [
         f"{key} {obj[key]['value']:.9g}" for key in ("opt", "lp", "sdp") if key in obj
     ]
-    print(f"sparsest-cut: n = {inst.n}, " + ", ".join(parts))
-    if sdp is not None and not sdp.converged:
-        raise ConvergenceError(
-            f"sdp stopped at {sdp.iterations} iterations without meeting tolerances"
-        )
-    return 0
+    return params, f"sparsest-cut: n = {inst.n}, " + ", ".join(parts)
 
 
 # -- duality ---------------------------------------------------------------------------
 
 
-def cmd_duality(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_duality(args, out) -> tuple[dict, str]:
     ms, source = _load_metric(args)
     rep = duality_harness(ms)
     obj = {
@@ -531,27 +501,19 @@ def cmd_duality(args) -> int:
         "sdp": _sdp_block(rep.sdp),
         "gap_lower_bound": rep.gap_lower_bound,
     }
-    rep.instance.save(out / "instance.txt")
-    files = [out / "instance.txt", _write_json(out / "duality.json", obj)]
-    params = {"source": source}
-    files.append(write_run_record(out, "duality", params, [f.name for f in files], t0))
-    print(
+    out.text("instance.txt", rep.instance.to_text())
+    out.json("duality.json", obj)
+    _flag_unconverged(out, rep.sdp)
+    return {"source": source}, (
         f"duality: distortion {rep.distortion:.9g}, cut optimum {rep.opt.value:.9g}, "
         f"certified gap >= {rep.gap_lower_bound:.9g}"
     )
-    if not rep.sdp.converged:
-        raise ConvergenceError(
-            f"sdp stopped at {rep.sdp.iterations} iterations without meeting tolerances"
-        )
-    return 0
 
 
 # -- poincare ----------------------------------------------------------------------------
 
 
-def cmd_poincare(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_poincare(args, out) -> tuple[dict, str]:
     S = parse_set_spec(args.k, args.set, seed=args.seed)
     ind = poincare_sides(LatticeFunction.indicator(S))
     h = horizontal_perimeter(S)
@@ -598,7 +560,7 @@ def cmd_poincare(args) -> int:
     if args.local is not None:
         loc = local_poincare(phi, args.local, args.alpha, args.mem_cap_mib)
         obj["local"] = {"n": loc.n, "alpha": loc.alpha, "lhs": loc.lhs, "rhs": loc.rhs}
-    files = [_write_json(out / "poincare.json", obj)]
+    out.json("poincare.json", obj)
     params = {
         "k": args.k,
         "set": args.set,
@@ -608,12 +570,10 @@ def cmd_poincare(args) -> int:
         "alpha": args.alpha,
         "mem_cap_mib": args.mem_cap_mib,
     }
-    files.append(write_run_record(out, "poincare", params, [f.name for f in files], t0))
-    print(
+    return params, (
         f"poincare: indicator lhs {ind.lhs:.6g} vs rhs {ind.rhs:.6g}, "
         f"function lhs {fun.lhs:.6g} vs rhs {fun.rhs:.6g}"
     )
-    return 0
 
 
 # -- parser -------------------------------------------------------------------------------
@@ -631,6 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         sp.add_argument("--out-dir", required=True, help="directory for output files")
         return sp
+
+    def add_metric_input(sp):
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--metric", help="distance file: n then upper-triangle rows")
+        group.add_argument(
+            "--demo",
+            help="path:N | cycle:N | bipartite:A,B | ball:K,R | random:N,SEED | search:N,SEED",
+        )
 
     sp = add("growth", cmd_growth, "ball sizes of the word metric")
     sp.add_argument("--k", type=int, default=1, help="lattice rank (default 1)")
@@ -695,12 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
 
     sp = add("c1", cmd_c1, "exact minimum distortion into L1")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--metric", help="distance file: n then upper-triangle rows")
-    group.add_argument(
-        "--demo",
-        help="path:N | cycle:N | bipartite:A,B | ball:K,R | random:N,SEED | search:N,SEED",
-    )
+    add_metric_input(sp)
     sp.add_argument(
         "--subsample",
         type=int,
@@ -718,12 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sdp-max-iter", type=int, default=20000)
 
     sp = add("duality", cmd_duality, "distortion-to-gap instance for a metric space")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--metric", help="distance file: n then upper-triangle rows")
-    group.add_argument(
-        "--demo",
-        help="path:N | cycle:N | bipartite:A,B | ball:K,R | random:N,SEED | search:N,SEED",
-    )
+    add_metric_input(sp)
 
     sp = add("poincare", cmd_poincare, "vertical-vs-horizontal functional identities")
     sp.add_argument("--k", type=int, default=2)
@@ -741,7 +699,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with shared_pool():
-            return args.fn(args)
+            t0 = time.monotonic()
+            out = _OutDir(args.out_dir)
+            params, summary = args.fn(args, out)
+            out.json("run_record.json", run_record(args.command, params, out.names, t0))
+            print(summary)
+            if out.unconverged is not None:
+                raise ConvergenceError(out.unconverged)
+            return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

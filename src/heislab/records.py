@@ -1,4 +1,4 @@
-"""Run records: canonical configuration text, hash, and the JSON sidecar.
+"""Run records: canonical configuration text, hash, and the record content.
 
 Every command writes its outputs plus a ``run_record.json`` describing
 what produced them.  The configuration is serialized as sorted
@@ -11,9 +11,7 @@ should drop it (all other output files are exactly reproducible).
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from pathlib import Path
 
 from . import __version__
 from .errors import ValidationError
@@ -64,20 +62,13 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def write_run_record(out_dir, command: str, params: dict, outputs: list, t0: float) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = canonical_config(command, params)
-    record = {
+def run_record(command: str, params: dict, outputs: list, t0: float) -> dict:
+    """The content of ``run_record.json`` for a command started at monotonic t0."""
+    return {
         "command": command,
         "config": {k: format_value(v) for k, v in sorted(params.items())},
-        "config_hash": config_hash(text),
+        "config_hash": config_hash(canonical_config(command, params)),
         "outputs": sorted(str(o) for o in outputs),
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
-    path = out_dir / "run_record.json"
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -81,15 +81,6 @@ class Instance:
         C, D = parse_upper_triangles(text, 2)
         return cls(C, D)
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "Instance":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
 
 def random_instance(
     n: int, seed: int, cap_density: float = 0.7, dem_density: float = 0.5

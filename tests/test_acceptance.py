@@ -322,19 +322,21 @@ def _run(argv, out: Path):
     assert main(argv + ["--out-dir", str(out)]) == 0
 
 
+# each block_map call of these commands gets at least two payloads, so
+# --workers 4 really runs in a process pool
 COMMANDS = {
     "nm": (
         ["nm", "--region", "two-slab:k=1,R=4,a=0.5", "--radius", "4",
-         "--lines", "96", "--steps", "60", "--seed", "11"],
+         "--lines", "600", "--steps", "60", "--seed", "11"],
         "nm.json",
     ),
     "box-profile": (
         ["box-profile", "--k", "1", "--r", "1.5", "--s-min", "0", "--s-max", "3",
-         "--steps", "7", "--mc-samples", "8000", "--seed", "3"],
+         "--steps", "7", "--mc-samples", "40000", "--seed", "3"],
         "profile_mc.csv",
     ),
     "voxelize": (
-        ["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.25", "--seed", "5"],
+        ["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.125", "--seed", "5"],
         "voxels.txt",
     ),
 }
@@ -351,10 +353,13 @@ def test_rerun_byte_identical(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_worker_count_independent(tmp_path, name):
+def test_worker_count_independent(tmp_path, pool_counter, name):
     argv, data_file = COMMANDS[name]
+    started, maps = pool_counter
     _run(argv + ["--workers", "1"], tmp_path / "w1")
+    assert (len(started), len(maps)) == (0, 0)
     _run(argv + ["--workers", "4"], tmp_path / "w4")
+    assert len(started) == 1 and len(maps) >= 1
     data1 = (tmp_path / "w1" / data_file).read_bytes()
     data4 = (tmp_path / "w4" / data_file).read_bytes()
     assert data1 == data4

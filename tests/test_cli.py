@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from heislab import parallel
-from heislab.cli import main
+from heislab.cli import build_parser, main
 from heislab.errors import ValidationError
 from heislab.records import (
     canonical_config,
@@ -262,20 +263,9 @@ def test_rerun_byte_identical(tmp_path):
     ],
     ids=["box-profile", "nm"],
 )
-def test_one_process_pool_per_command(tmp_path, monkeypatch, argv, data_file):
+def test_one_process_pool_per_command(tmp_path, pool_counter, argv, data_file):
     # several blocks per block_map call, and several calls per command
-    started, maps = [], []
-
-    class CountingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, *a, **kw):
-            started.append(1)
-            super().__init__(*a, **kw)
-
-        def map(self, *a, **kw):
-            maps.append(1)
-            return super().map(*a, **kw)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    started, maps = pool_counter
     assert main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "w1")]) == 0
     assert (len(started), len(maps)) == (0, 0)
     assert main(argv + ["--workers", "2", "--out-dir", str(tmp_path / "w2")]) == 0
@@ -283,3 +273,35 @@ def test_one_process_pool_per_command(tmp_path, monkeypatch, argv, data_file):
     assert parallel._scope is None  # the pool ends with the command
     w1, w2 = (tmp_path / w / data_file for w in ("w1", "w2"))
     assert w1.read_bytes() == w2.read_bytes()
+
+
+FRAME_CASES = {
+    "growth": (["growth", "--k", "1", "--r-max", "3", "--z-powers", "2", "--dump-ball"], 0),
+    "isoperim": (["isoperim", "--k", "1", "--set", "box(2,2,2)"], 0),
+    "box-profile": (["box-profile", "--k", "1", "--r", "2", "--s-min", "0", "--s-max", "2",
+                     "--steps", "3", "--mc-samples", "2000"], 0),
+    "nm": (["nm", "--region", "halfspace-cap:k=1,R=4", "--radius", "4",
+            "--lines", "16", "--steps", "30"], 0),
+    "voxelize": (["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.5"], 0),
+    "c1": (["c1", "--demo", "bipartite:2,3"], 0),
+    "sparsest-cut": (["sparsest-cut", "--random", "5,3"], 0),
+    "sparsest-cut-unconverged": (["sparsest-cut", "--random", "6,17", "--solver", "sdp",
+                                  "--sdp-max-iter", "5"], 4),
+    "duality": (["duality", "--demo", "path:4"], 0),
+    "poincare": (["poincare", "--k", "1", "--set", "box(2,2,2)", "--local", "1",
+                  "--alpha", "2.0"], 0),
+}
+
+
+def test_frame_cases_cover_every_command():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv, _ in FRAME_CASES.values()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_run_record_lists_every_file(tmp_path, name):
+    # a file written past the frame's writer would be missing from the record
+    argv, rc = FRAME_CASES[name]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == rc
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "run_record.json")
+    assert read_record(tmp_path)["outputs"] == written
