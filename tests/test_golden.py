@@ -7,6 +7,9 @@ The two further ``poincare`` cases were recorded before the rhs window of
 ``local_poincare`` moved to one shared ball search: ``poincare-box-k2``
 has R = 4 at k = 2, and ``poincare-default-alpha`` has R = 21, beyond the
 one-sided search, so it pins the per-row bidirectional route.
+``poincare-blob-k2`` (irregular k = 2 columns, negative values, no local
+sides) was recorded before lattice functions moved from a dict of tuples
+to ``FiniteSet`` rows plus a value array.
 
 The solver digests (``c1``, ``sparsest-cut``, ``duality``) were recorded
 before the metric codec, the cut-incidence matrix and the triangle rows
@@ -82,6 +85,14 @@ GOLDEN = {
             "run_record.json": "d08f702e2af0fc4660053ec121addd5d6dd88b0c9ffc760606a656415cadd71d",
         },
     ),
+    "poincare-blob-k2": (
+        ["poincare", "--k", "2", "--set", "random_blob(400,9)", "--values=-4,5",
+         "--seed", "3"],
+        {
+            "poincare.json": "1125433f5adfc925cfe449ed1b0eb972809c3100a4d067d60c6ee35d98f21bcf",
+            "run_record.json": "4792642f7648f3ff88968d2526b501a89937642f2caded25321c9b36a810590f",
+        },
+    ),
     "poincare-default-alpha": (
         ["poincare", "--k", "1", "--set", "random_blob(300,5)", "--values=-3,4",
          "--seed", "2", "--local", "1"],
@@ -128,6 +139,8 @@ SUMMARIES = {
     "voxelize": "voxelize: 142 cells at h = 0.25, volume estimate 0.554688",
     "poincare": "poincare: indicator lhs 299.289 vs rhs 584, "
                 "function lhs 868.903 vs rhs 2528",
+    "poincare-blob-k2": "poincare: indicator lhs 810.859 vs rhs 3604, "
+                        "function lhs 2399.62 vs rhs 13556",
     "c1-bipartite": "c1: distortion 1.33333333 (exact), 9 cuts",
     "sparsest-random-6": "sparsest-cut: n = 6, opt 0.241072267, lp 0.241072267, "
                          "sdp 0.241072267",
