@@ -168,13 +168,13 @@ def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
     return Ball(k, r, FiniteSet(k, coords[order]), dists[order])
 
 
-def growth_table(k: int, r_max: int, mem_cap_mib: float = 4096.0):
-    """Rows (r, |B_r|, |B_r| / r^(2k+2)); the r = 0 row is normalized by 1."""
-    b = ball(k, r_max, mem_cap_mib)
+def growth_table(b: Ball):
+    """Rows (r, |B_r|, |B_r| / r^(2k+2)) for r up to the radius of b; the
+    r = 0 row is normalized by 1."""
     counts = np.cumsum(b.counts())
     rows = []
-    for r in range(r_max + 1):
-        denom = float(r ** (2 * k + 2)) if r > 0 else 1.0
+    for r in range(b.radius + 1):
+        denom = float(r ** (2 * b.k + 2)) if r > 0 else 1.0
         rows.append((r, int(counts[r]), counts[r] / denom))
     return rows
 

@@ -102,7 +102,8 @@ class _OutDir:
 
 
 def cmd_growth(args, out) -> tuple[dict, str]:
-    rows = growth_table(args.k, args.r_max, args.mem_cap_mib)
+    b = ball(args.k, args.r_max, args.mem_cap_mib)
+    rows = growth_table(b)
     out.csv(
         "growth.csv",
         "r,count,normalized",
@@ -114,7 +115,6 @@ def cmd_growth(args, out) -> tuple[dict, str]:
             zrows.append([str(t), str(z_power_distance(args.k, t, mem_cap_mib=args.mem_cap_mib))])
         out.csv("z_powers.csv", "t,distance", zrows)
     if args.dump_ball:
-        b = ball(args.k, args.r_max, args.mem_cap_mib)
         out.lines("ball.txt", (f"{el.to_text()} {dist}" for el, dist in b.elements()))
     params = {
         "k": args.k,
@@ -340,10 +340,16 @@ def _demo_metric(text: str) -> MetricSpace:
     raise ValidationError(f"unknown demo metric {name!r}")
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read input file: {exc}") from None
+
+
 def _load_metric(args) -> tuple[MetricSpace, str]:
     if args.metric is not None:
-        with open(args.metric) as fh:
-            return MetricSpace.from_text(fh.read()), f"file:{args.metric}"
+        return MetricSpace.from_text(_read_input(args.metric)), f"file:{args.metric}"
     return _demo_metric(args.demo), f"demo:{args.demo}"
 
 
@@ -449,8 +455,7 @@ def _flag_unconverged(out: _OutDir, sdp) -> None:
 
 def _load_instance(args) -> tuple[Instance, str]:
     if args.instance is not None:
-        with open(args.instance) as fh:
-            return Instance.from_text(fh.read()), f"file:{args.instance}"
+        return Instance.from_text(_read_input(args.instance)), f"file:{args.instance}"
     try:
         n, seed = (int(v) for v in args.random.split(","))
     except ValueError:
@@ -523,8 +528,8 @@ def cmd_poincare(args, out) -> tuple[dict, str]:
     except ValueError:
         raise ValidationError("--values takes LO,HI") from None
     phi = LatticeFunction.random_integer(S, lo, hi, args.seed)
-    fun = poincare_sides(phi)
     co = coarea(phi)
+    fun = co.sides
     obj = {
         "kind": "poincare",
         "k": args.k,
@@ -542,7 +547,7 @@ def cmd_poincare(args, out) -> tuple[dict, str]:
             "lo": lo,
             "hi": hi,
             "seed": args.seed,
-            "support": len(phi.values),
+            "support": phi.S.size,
             "lhs": fun.lhs,
             "lhs_err": fun.lhs_err,
             "rhs": fun.rhs,

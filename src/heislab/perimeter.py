@@ -190,33 +190,25 @@ _BITSET_SPAN_CAP = 1 << 16
 
 @dataclass
 class VerticalSpectrum:
-    """Exact jump counts for t <= T0 plus the closed-form beyond-span tail.
-
-    tail_sq is the contribution sum_{t > T0} (2 size)^2 / t^2 to the
-    squared vertical perimeter; tail_err bounds its numerical error.
-    """
+    """Exact jump counts for t <= T0; beyond T0 every count is 2 size."""
 
     size: int
     T0: int
     head: np.ndarray  # head[t - 1] = |bd_v^t|, t = 1..T0
-    tail_sq: float
-    tail_err: float
 
     def count(self, t: int) -> int:
         if t <= self.T0:
             return int(self.head[t - 1])
         return 2 * self.size
 
+    @property
+    def tail_sq(self) -> float:
+        """sum_{t > T0} (2 size)^2 / t^2, the closed-form tail."""
+        return _tail_sq(2 * self.size, self.T0)[0]
+
     def perimeter(self):
         """(value, error_bound) for the l2 vertical perimeter."""
-        head_sq = fsum(
-            (float(c) / t) ** 2 for t, c in enumerate(self.head.tolist(), start=1)
-        )
-        total = head_sq + self.tail_sq
-        value = math.sqrt(total)
-        err_sq = self.tail_err + 4.0 * _EPS * total
-        err = err_sq / (2.0 * value) if value > 0 else 0.0
-        return value, err
+        return l2_with_tail(self.head, 2 * self.size)
 
 
 def _column_counts(ws: np.ndarray, T0: int) -> np.ndarray:
@@ -251,8 +243,7 @@ def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
             plateau[span] += 2 * len(ws)
     if T0 > 0:
         head += np.cumsum(plateau)[:T0]
-    tail_sq, tail_err = _tail_sq(S.size, T0)
-    return VerticalSpectrum(S.size, T0, head, tail_sq, tail_err)
+    return VerticalSpectrum(S.size, T0, head)
 
 
 def _psi1_exact(m: int) -> float:
@@ -269,13 +260,26 @@ def _psi1_asymptotic(m: int) -> float:
     return 1.0 / n - 1.0 / (2.0 * n * n) + 1.0 / (6.0 * n**3) - 1.0 / (30.0 * n**5)
 
 
-def _tail_sq(size: int, T0: int):
+def _tail_sq(mass: float, T0: int):
+    """(mass^2 sum_{t > T0} t^-2, a bound on its numerical error)."""
     psi = _psi1_exact(T0 + 1)
     err = _EPS * (T0 + 2) * 2.0
     if T0 > 1000:
         err += abs(psi - _psi1_asymptotic(T0 + 1))
-    scale = 4.0 * float(size) * float(size)
+    scale = float(mass) * float(mass)
     return scale * psi, scale * err
+
+
+def l2_with_tail(head, mass: float):
+    """(value, error_bound) of sqrt(sum_t a_t^2 / t^2), where a_t = head[t - 1]
+    for t <= T0 = len(head) and a_t = mass beyond: the l2 form shared by
+    the vertical perimeter (mass 2|S|) and the Poincare lhs (2 sum |phi|)."""
+    tail_sq, tail_err = _tail_sq(mass, len(head))
+    head_sq = fsum((float(a) / t) ** 2 for t, a in enumerate(np.asarray(head).tolist(), 1))
+    total = head_sq + tail_sq
+    value = math.sqrt(total)
+    err = (tail_err + 4.0 * _EPS * total) / (2.0 * value) if value > 0 else 0.0
+    return value, err
 
 
 def vertical_perimeter(S: FiniteSet):

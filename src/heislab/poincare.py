@@ -1,15 +1,17 @@
 """Functional (Poincare-type) sides, coarea decomposition, localization.
 
-For a finitely supported map phi on the rank-k lattice (scalar- or
-vector-valued; vector differences are measured in l1) the two sides are
+A finitely supported map phi on the rank-k lattice is kept as a
+FiniteSet S (its support) plus values aligned with S.rows, shape (n,)
+or (n, vdim); vector differences are measured in l1.  The two sides are
 
     lhs(phi)^2 = sum_{t >= 1} ( sum_h |phi(h c^t) - phi(h)| )^2 / t^2
     rhs(phi)   = sum_h sum_{generators s} |phi(h s) - phi(h)|.
 
-Beyond the w-span T0 of the support, the inner vertical sum is the
-constant 2 sum_h |phi(h)|, so the series closes with the same analytic
-tail used for the vertical perimeter.  For an indicator, lhs equals the
-vertical perimeter of the set and rhs twice its horizontal boundary.
+Beyond the largest column span T0 of the support, the inner vertical
+sum is the constant 2 sum_h |phi(h)|, so the series closes with
+perimeter.l2_with_tail, the vertical perimeter's tail and error bound.
+For an indicator, lhs equals the vertical perimeter of the set and rhs
+twice its horizontal boundary.
 
 The coarea path decomposes an integer-valued phi over its sublevel sets
 {phi < u}: the rhs decomposition is an exact integer identity, the lhs
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from math import fsum
 
 import numpy as np
@@ -29,90 +30,76 @@ import numpy as np
 from .errors import ValidationError
 from .perimeter import (
     FiniteSet,
-    _psi1_exact,
-    _EPS,
     element_from_row,
     generator_step,
     horizontal_perimeter,
+    l2_with_tail,
     vertical_perimeter,
 )
 from .rng import Rng
 
 
-def _l1(v) -> float:
-    if isinstance(v, np.ndarray):
-        return float(np.abs(v).sum())
-    return abs(v)
-
-
 class LatticeFunction:
-    """Finitely supported function on the lattice, zero off-support."""
+    """Finitely supported function on the lattice, zero off-support.
+
+    The support is the FiniteSet S; vals holds the nonzero values aligned
+    with S.rows, shape (n,) for scalars or (n, vdim) for vectors.
+    """
 
     def __init__(self, k: int, values: dict, vdim: int | None = None):
-        self.k = k
-        self.vdim = vdim
-        vals = {}
-        for key, v in values.items():
-            t = key.coords() if hasattr(key, "coords") else tuple(int(a) for a in key)
-            if len(t) != 2 * k + 1:
-                raise ValidationError("coordinate tuple length mismatch")
-            if vdim is not None:
-                v = np.asarray(v, dtype=float)
-                if v.shape != (vdim,):
-                    raise ValidationError("vector value dimension mismatch")
-                if not np.any(v):
-                    continue
-            elif v == 0:
-                continue
-            vals[t] = v
-        if not vals:
+        """values maps coordinate tuples or DiscreteElements to scalars, or
+        to vectors of length vdim; zero values are dropped."""
+        keys = [key.coords() if hasattr(key, "coords") else key for key in values]
+        S = FiniteSet(k, keys)  # refuses an empty support and wrong tuple lengths
+        shape = (len(keys),) if vdim is None else (len(keys), vdim)
+        try:
+            given = np.array(list(values.values()), dtype=float).reshape(shape)
+        except ValueError:
+            raise ValidationError("vector value dimension mismatch") from None
+        vals = np.zeros((S.size,) + shape[1:])
+        vals[S.locate(np.array(keys, dtype=np.int64))] = given
+        self._adopt(S, vals)
+
+    @classmethod
+    def _on_rows(cls, S: FiniteSet, vals: np.ndarray) -> "LatticeFunction":
+        """The function with values vals aligned with S.rows; zeros dropped."""
+        phi = cls.__new__(cls)
+        phi._adopt(S, vals)
+        return phi
+
+    def _adopt(self, S: FiniteSet, vals: np.ndarray) -> None:
+        nonzero = vals != 0 if vals.ndim == 1 else np.any(vals != 0, axis=1)
+        if not nonzero.any():
             raise ValidationError("function has empty support")
-        self.values = vals
-
-    @property
-    def zero(self):
-        return np.zeros(self.vdim) if self.vdim is not None else 0
-
-    def value(self, t: tuple):
-        return self.values.get(t, self.zero)
-
-    def support(self):
-        return self.values.keys()
-
-    @cached_property
-    def support_set(self):
-        """(the support as a FiniteSet, the values aligned with its rows)."""
-        S = FiniteSet(self.k, list(self.values))
-        return S, np.array([self.values[t] for t in S], dtype=float)
+        if not nonzero.all():
+            S, vals = FiniteSet(S.k, S.rows[nonzero]), vals[nonzero]
+        self.k, self.S, self.vals = S.k, S, vals
 
     def at(self, rows: np.ndarray) -> np.ndarray:
         """Values at a block of coordinate rows, zero off the support."""
-        S, vals = self.support_set
-        pos = S.locate(rows)
-        out = vals[pos]
+        pos = self.S.locate(rows)
+        out = self.vals[pos]
         out[pos < 0] = 0.0
         return out
 
     def is_integer_valued(self) -> bool:
-        if self.vdim is not None:
-            return False
-        return all(float(v).is_integer() for v in self.values.values())
+        return self.vals.ndim == 1 and all(v.is_integer() for v in self.vals.tolist())
 
     @staticmethod
     def indicator(S: FiniteSet) -> "LatticeFunction":
-        return LatticeFunction(S.k, {t: 1 for t in S})
+        return LatticeFunction._on_rows(S, np.ones(S.size))
 
     @staticmethod
     def stacked(*funcs: "LatticeFunction") -> "LatticeFunction":
         """Vector-valued function whose coordinates are the given scalars."""
         k = funcs[0].k
-        if any(f.k != k or f.vdim is not None for f in funcs):
+        if any(f.k != k or f.vals.ndim != 1 for f in funcs):
             raise ValidationError("stacked expects scalar functions of equal rank")
-        keys = set()
-        for f in funcs:
-            keys |= set(f.support())
-        vals = {t: np.array([float(f.value(t)) for f in funcs]) for t in keys}
-        return LatticeFunction(k, vals, vdim=len(funcs))
+        S = FiniteSet(k, np.concatenate([f.S.rows for f in funcs]))
+        vals = np.zeros((S.size, len(funcs)))
+        for j, f in enumerate(funcs):
+            vals[S.locate(f.S.rows), j] = f.vals
+        return LatticeFunction._on_rows(S, vals)
 
     @staticmethod
     def random_integer(S: FiniteSet, lo: int, hi: int, seed: int) -> "LatticeFunction":
@@ -121,14 +108,11 @@ class LatticeFunction:
             raise ValidationError("empty value range")
         if lo == hi == 0:
             raise ValidationError("value range admits only the zero function")
-        rng = Rng(seed)
-        members = list(S)
-        draws = rng.integers(len(members), hi - lo + 1) + lo
-        vals = {t: int(d) for t, d in zip(members, draws) if d != 0}
-        if not vals:
+        vals = (Rng(seed).integers(S.size, hi - lo + 1) + lo).astype(float)
+        if not vals.any():
             # all-zero draw degenerates; pin one member so the support is nonempty
-            vals = {members[0]: hi if hi != 0 else lo}
-        return LatticeFunction(S.k, vals)
+            vals[0] = hi if hi != 0 else lo
+        return LatticeFunction._on_rows(S, vals)
 
 
 @dataclass
@@ -138,66 +122,46 @@ class PoincareSides:
     lhs_err: float
 
 
-def _support_columns(phi: LatticeFunction) -> dict:
-    cols: dict = {}
-    k = phi.k
-    for t, v in phi.values.items():
-        cols.setdefault(t[: 2 * k], {})[t[2 * k]] = v
-    return cols
+def _pair_sum(phi: LatticeFunction, moved: np.ndarray) -> float:
+    """sum |phi(h s) - phi(h)| over the pairs (h, h s) with h or h s in the
+    support, given moved = the support rows right-multiplied by s.
+
+    The pairs with h in S are read off one lookup of moved; the members g
+    with g s^-1 outside S are those no moved row lands on, so the pairs
+    with only h s in S add sum |phi| - sum_{h in S} |phi(h s)|.
+    """
+    above = phi.at(moved)
+    return float(np.abs(above - phi.vals).sum() + np.abs(phi.vals).sum() - np.abs(above).sum())
 
 
 def _vertical_sums(phi: LatticeFunction):
-    """A(t) for t = 1..T0 plus the beyond-span constant M = 2 sum |phi|."""
-    cols = _support_columns(phi)
-    T0 = max(max(ws) - min(ws) for ws in cols.values())
-    A = [0.0] * (T0 + 1)  # index by t, A[0] unused
-    for ws in cols.values():
-        keys = set(ws)
-        lo, hi = min(keys), max(keys)
-        for t in range(1, min(T0, hi - lo) + 1):
-            s = 0.0
-            for w in keys:
-                s += _l1(ws.get(w + t, phi.zero) - ws[w])
-                if w - t not in keys:
-                    s += _l1(ws[w])
-            A[t] += s
-        col_mass = 2.0 * fsum(_l1(v) for v in ws.values())
-        for t in range(hi - lo + 1, T0 + 1):
-            A[t] += col_mass
-    M = 2.0 * fsum(_l1(v) for v in phi.values.values())
-    return A, M, T0
+    """(A, mass): A[t - 1] = _pair_sum for s = c^t, t = 1..T0, the largest
+    column span of the support, and mass = 2 sum |phi|, the value of A(t)
+    for every t > T0."""
+    T0 = max(int(ws[-1] - ws[0]) for ws in phi.S.columns())
+    A = np.zeros(T0)
+    up = phi.S.rows.copy()
+    for t in range(1, T0 + 1):
+        up[:, 2 * phi.k] += 1
+        A[t - 1] = _pair_sum(phi, up)
+    return A, 2.0 * float(np.abs(phi.vals).sum())
 
 
 def poincare_sides(phi: LatticeFunction) -> PoincareSides:
-    A, M, T0 = _vertical_sums(phi)
-    head_sq = fsum((A[t] / t) ** 2 for t in range(1, T0 + 1))
-    psi = _psi1_exact(T0 + 1)
-    total = head_sq + M * M * psi
-    lhs = math.sqrt(total)
-    err = (M * M * _EPS * (T0 + 2) * 2.0 + 4.0 * _EPS * total) / (2.0 * lhs) if lhs else 0.0
+    lhs, err = l2_with_tail(*_vertical_sums(phi))
     return PoincareSides(lhs, poincare_rhs(phi), err)
 
 
 def poincare_rhs(phi: LatticeFunction, indices=None) -> float:
     """sum_h sum_s |phi(h s) - phi(h)|, optionally over the generator
-    subfamily {a_i, b_i : i in indices} (1-based).
-
-    Both families are closed under inverses, so a pair (h, h s) with only
-    h s in the support counts as (h s, s^-1) does, and the sum runs over
-    the support alone: each h and s add |phi(h s) - phi(h)| when h s is in
-    the support and 2 |phi(h)| when it is not.
-    """
+    subfamily {a_i, b_i : i in indices} (1-based), as one _pair_sum per
+    generator s."""
     k = phi.k
-    S, vals = phi.support_set
     keep = None if indices is None else {int(i) - 1 for i in indices}
     total = 0.0
     for j in range(4 * k):
-        if keep is not None and (j % (2 * k)) // 2 not in keep:
-            continue
-        pos = S.locate(generator_step(k, S.rows, j))
-        out = pos < 0
-        total += float(np.abs(vals[pos[~out]] - vals[~out]).sum())
-        total += 2.0 * float(np.abs(vals[out]).sum())
+        if keep is None or (j % (2 * k)) // 2 in keep:
+            total += _pair_sum(phi, generator_step(k, phi.S.rows, j))
     return total
 
 
@@ -210,11 +174,18 @@ class CoareaLevel:
 
 @dataclass
 class CoareaReport:
-    rhs_total: int
+    sides: PoincareSides
     rhs_levels: int
-    lhs_total: float
     lhs_levels: float
     levels: list
+
+    @property
+    def rhs_total(self) -> int:
+        return round(self.sides.rhs)
+
+    @property
+    def lhs_total(self) -> float:
+        return self.sides.lhs
 
     @property
     def rhs_exact(self) -> bool:
@@ -224,8 +195,7 @@ class CoareaReport:
 def _level_rows(phi: LatticeFunction, u: int) -> np.ndarray:
     # finite representative of {phi < u}: against the zero background the
     # set is co-finite for u > 0, so the complement {phi >= u} stands in
-    S, vals = phi.support_set
-    return S.rows[vals < u] if u <= 0 else S.rows[vals >= u]
+    return phi.S.rows[phi.vals < u if u <= 0 else phi.vals >= u]
 
 
 def sublevel_set(phi: LatticeFunction, u: int) -> FiniteSet:
@@ -248,9 +218,8 @@ def coarea(phi: LatticeFunction) -> CoareaReport:
     """Sublevel decomposition of both sides for integer-valued phi."""
     if not phi.is_integer_valued():
         raise ValidationError("coarea identity requires integer-valued phi")
-    _, vals = phi.support_set
-    lo = min(0, int(vals.min()))
-    hi = max(0, int(vals.max()))
+    lo = min(0, int(phi.vals.min()))
+    hi = max(0, int(phi.vals.max()))
     levels = []
     rhs_sum = 0
     lhs_sum = 0.0
@@ -264,9 +233,7 @@ def coarea(phi: LatticeFunction) -> CoareaReport:
         levels.append(CoareaLevel(u, rhs_u, lhs_u))
         rhs_sum += rhs_u
         lhs_sum += lhs_u
-    sides = poincare_sides(phi)
-    rhs_total = round(sides.rhs)
-    return CoareaReport(rhs_total, rhs_sum, sides.lhs, lhs_sum, levels)
+    return CoareaReport(poincare_sides(phi), rhs_sum, lhs_sum, levels)
 
 
 @dataclass
@@ -289,8 +256,7 @@ def _rhs_window(phi: LatticeFunction, R: int, mem_cap_mib: float = 4096.0) -> np
     """
     from .cayley import ONE_SIDED_MAX, _ball_distances, word_distance, word_upper_bound
 
-    k = phi.k
-    S, _ = phi.support_set
+    k, S = phi.k, phi.S
     window = FiniteSet(
         k, np.concatenate([S.rows] + [generator_step(k, S.rows, j) for j in range(4 * k)])
     )

@@ -58,7 +58,7 @@ def test_ball_lookup():
 
 
 def test_growth_table_normalization():
-    rows = growth_table(1, 4)
+    rows = growth_table(ball(1, 4))
     assert rows[0] == (0, 1, 1.0)
     r, c, norm = rows[3]
     assert norm == pytest.approx(c / r**4)

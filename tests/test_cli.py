@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from heislab import parallel
+from heislab import cayley, cli, parallel, poincare
 from heislab.cli import build_parser, main
 from heislab.errors import ValidationError
 from heislab.records import (
@@ -18,6 +18,21 @@ from heislab.records import (
 def read_record(out_dir):
     with open(Path(out_dir) / "run_record.json") as fh:
         return json.load(fh)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap the function `name` in each module that binds it; one list
+    entry per call through any of them."""
+    calls = []
+    orig = getattr(modules[0], name)
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return orig(*a, **kw)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def test_format_value():
@@ -57,6 +72,15 @@ def test_growth_command(tmp_path):
     rec = read_record(tmp_path)
     assert rec["command"] == "growth"
     assert "growth.csv" in rec["outputs"]
+
+
+def test_growth_builds_the_ball_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "ball", cayley, cli)
+    argv = ["growth", "--k", "2", "--r-max", "4", "--z-powers", "3", "--dump-ball"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    last = (tmp_path / "growth.csv").read_text().splitlines()[-1]
+    assert last.split(",")[1] == str(len((tmp_path / "ball.txt").read_text().splitlines()))
 
 
 def test_isoperim_command(tmp_path):
@@ -165,6 +189,14 @@ def test_bad_matrix_files_exit_2(tmp_path, case):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("flag", ["--metric", "--instance"])
+def test_missing_matrix_file_exits_2(tmp_path, capsys, flag):
+    command = "c1" if flag == "--metric" else "sparsest-cut"
+    missing = str(tmp_path / "missing.txt")
+    assert main([command, flag, missing, "--out-dir", str(tmp_path / "out")]) == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_sparsest_cut_command(tmp_path):
     rc = main(["sparsest-cut", "--random", "5,3", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -220,6 +252,14 @@ def test_poincare_command(tmp_path):
     assert obj["indicator"]["rhs"] == 2 * obj["indicator"]["h_perim"]
     assert obj["coarea"]["rhs_exact"] is True
     assert obj["local"] is None
+
+
+def test_poincare_sides_once_per_function(tmp_path, monkeypatch):
+    # once for the indicator, once (inside coarea) for the random function
+    calls = count_calls(monkeypatch, "poincare_sides", poincare, cli)
+    argv = ["poincare", "--k", "1", "--set", "box(2,2,3)", "--values=-2,3", "--seed", "4"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def test_bad_region_exit_code(tmp_path):

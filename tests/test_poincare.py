@@ -7,6 +7,7 @@ from heislab.errors import ResourceCapError, ValidationError
 from heislab.perimeter import (
     FiniteSet,
     box_set,
+    column_set,
     generator_step,
     horizontal_perimeter,
     random_blob,
@@ -15,6 +16,7 @@ from heislab.perimeter import (
 from heislab.poincare import (
     LatticeFunction,
     _rhs_window,
+    _vertical_sums,
     coarea,
     coset_partition,
     local_poincare,
@@ -22,7 +24,7 @@ from heislab.poincare import (
     poincare_sides,
     sublevel_set,
 )
-from lattice_oracles import in_ball_per_row
+from lattice_oracles import in_ball_per_row, vertical_sums_direct
 
 CASES = st.tuples(
     st.integers(min_value=1, max_value=2),
@@ -37,7 +39,7 @@ def test_validation():
     with pytest.raises(ValidationError):
         LatticeFunction(1, {(1, 2): 1.0})  # wrong arity
     f = LatticeFunction(1, {(0, 0, 0): 2, (1, 0, 0): 0})
-    assert set(f.support()) == {(0, 0, 0)}
+    assert set(f.S) == {(0, 0, 0)}
 
 
 @given(CASES)
@@ -49,6 +51,34 @@ def test_indicator_identity(args):
     v, verr = vertical_perimeter(S)
     assert sides.lhs == pytest.approx(v, rel=1e-12)
     assert sides.rhs == 2 * horizontal_perimeter(S)
+
+
+def test_indicator_error_bound_is_the_perimeters():
+    # column span 1999 > 1000, where the bound includes the asymptotic tail term
+    S = column_set(1, 2000)
+    sides = poincare_sides(LatticeFunction.indicator(S))
+    assert (sides.lhs, sides.lhs_err) == vertical_perimeter(S)
+
+
+@given(
+    CASES,
+    st.integers(min_value=-4, max_value=0),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_vertical_sums_match_column_oracle(args, lo, hi, stacked):
+    k, size, seed = args
+    phi = LatticeFunction.random_integer(random_blob(k, size, seed), lo, hi, seed + 1)
+    if stacked:
+        other = random_blob(k, size // 2 + 1, seed + 2)
+        phi = LatticeFunction.stacked(
+            phi, LatticeFunction.random_integer(other, lo, hi, seed + 3)
+        )
+    A, mass = _vertical_sums(phi)
+    want_A, want_mass = vertical_sums_direct(k, dict(zip(phi.S, phi.vals)))
+    assert A.tolist() == want_A
+    assert mass == want_mass
 
 
 @given(CASES, st.integers(min_value=0, max_value=5))
@@ -173,13 +203,13 @@ def test_random_integer_nonzero_support():
     # a range straddling zero can draw all zeros; one member gets pinned
     for seed in range(40):
         phi = LatticeFunction.random_integer(S, -1, 1, seed)
-        assert len(phi.values) >= 1
+        assert phi.S.size >= 1
 
 
 def test_sublevel_set_semantics():
     S = box_set(1, 2, 2, 2)
     phi = LatticeFunction.random_integer(S, -2, 3, seed=4)
-    vals = {t: int(v) for t, v in phi.values.items()}
+    vals = dict(zip(phi.S, phi.vals.astype(int).tolist()))
     # u <= 0: literally {phi < u}
     want = {t for t, v in vals.items() if v < -1}
     if want:
