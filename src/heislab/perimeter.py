@@ -270,12 +270,12 @@ def _tail_sq(mass: float, T0: int):
     return scale * psi, scale * err
 
 
-def l2_with_tail(head, mass: float):
+def l2_with_tail(head: np.ndarray, mass: float):
     """(value, error_bound) of sqrt(sum_t a_t^2 / t^2), where a_t = head[t - 1]
     for t <= T0 = len(head) and a_t = mass beyond: the l2 form shared by
     the vertical perimeter (mass 2|S|) and the Poincare lhs (2 sum |phi|)."""
     tail_sq, tail_err = _tail_sq(mass, len(head))
-    head_sq = fsum((float(a) / t) ** 2 for t, a in enumerate(np.asarray(head).tolist(), 1))
+    head_sq = fsum((float(a) / t) ** 2 for t, a in enumerate(head.tolist(), 1))
     total = head_sq + tail_sq
     value = math.sqrt(total)
     err = (tail_err + 4.0 * _EPS * total) / (2.0 * value) if value > 0 else 0.0
