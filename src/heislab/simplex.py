@@ -9,16 +9,18 @@ vectorized over all columns.  Duals follow the convention of the
 minimization form: >= rows get nonnegative multipliers, <= rows
 nonpositive ones, and c.x* = y.b at optimality.
 
-``refine=True`` recomputes the final basic solution, objective, and
-duals in exact rational arithmetic and verifies optimality of the basis
-exactly; if a reduced cost is negative in exact arithmetic the float
-loop resumes from that column.
+``refine=True`` certifies the final basis over the input's floats taken
+exactly, as the binary rationals they are: the basic solution, objective
+and duals come from fraction-free integer elimination, and optimality is
+checked exactly for every reduced cost a float error bound cannot clear;
+if one is exactly negative the float loop resumes from that column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -73,23 +75,14 @@ class _Tableau:
                 if len(neg) == 0:
                     return "optimal"
                 j = int(neg[0])
-            d = np.linalg.solve(B, self.A[:, j])
-            pos = d > _TOL_RATIO
-            if not np.any(pos):
+            if not self.pivot_on(j, B, xb):
                 return "unbounded"
-            ratios = np.full(self.m, np.inf)
-            ratios[pos] = xb[pos] / d[pos]
-            rmin = float(np.min(ratios))
-            cand = np.flatnonzero(ratios <= rmin + _TOL_RATIO)
-            # leaving tie-break by lowest basis column index (Bland-compatible)
-            leave = int(cand[np.argmin(self.basis[cand])])
-            self.basis[leave] = j
-            self.iterations += 1
 
-    def pivot_on(self, j: int) -> bool:
-        """Force one pivot with entering column j; False if no leave exists."""
-        B = self.A[:, self.basis]
-        xb = np.linalg.solve(B, self.b)
+    def pivot_on(self, j: int, B=None, xb=None) -> bool:
+        """One pivot with entering column j; False if no leave exists."""
+        if B is None:
+            B = self.A[:, self.basis]
+            xb = np.linalg.solve(B, self.b)
         d = np.linalg.solve(B, self.A[:, j])
         pos = d > _TOL_RATIO
         if not np.any(pos):
@@ -98,6 +91,7 @@ class _Tableau:
         ratios[pos] = xb[pos] / d[pos]
         rmin = float(np.min(ratios))
         cand = np.flatnonzero(ratios <= rmin + _TOL_RATIO)
+        # leaving tie-break by lowest basis column index (Bland-compatible)
         leave = int(cand[np.argmin(self.basis[cand])])
         self.basis[leave] = j
         self.iterations += 1
@@ -214,62 +208,81 @@ def solve_lp(
     )
 
 
-def _frac(v) -> Fraction:
-    return Fraction(v).limit_denominator(10**12)
+def _dyadic(values):
+    """Integers a and a shift s with values == a / 2**s exactly: every float
+    is a binary rational p / 2**e."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    return [p << (s + 1 - q.bit_length()) for p, q in ratios], s
 
 
 def _exact_from_basis(full, b, cost, basis, n, flip, allow):
-    """Rational solve of the basis system plus exact optimality check.
+    """Exact solve of the basis system plus exact optimality check, on the
+    floats of the input taken as the binary rationals they are.
 
-    Returns ("ok", x_full, objective, duals) when the basis is exactly
-    optimal, ("enter", j) when column j has an exactly negative reduced
-    cost, ("degenerate", None) when the basic solution is exactly
-    infeasible, or None when the basis matrix is singular.
+    Each basic column, with its cost, is scaled by a power of two to
+    integers, so B' = B D and c' = D c_B; then B' x' = 2**sb b gives
+    x_B = D x' / 2**sb and B'^T y = c' gives y itself.  Reduced costs are
+    screened in float; only columns the forward error bound does not clear
+    are checked exactly.  Returns ("ok", x_full, objective, duals) when the
+    basis is exactly optimal, ("enter", j) for the lowest-index column with
+    an exactly negative reduced cost, ("degenerate", None) when the basic
+    solution is exactly infeasible, or None when the basis matrix is singular.
     """
     m = len(b)
-    Bf = [[_frac(full[i, j]) for j in basis] for i in range(m)]
-    bf = [_frac(v) for v in b]
-    sol = _frac_solve(Bf, bf)
-    if sol is None:
+    cols = [_dyadic(full[:, j].tolist() + [cost[j]]) for j in basis]
+    bb, sb = _dyadic(b.tolist())
+    xs = _int_solve([list(r) for r in zip(*(a[:m] for a, _ in cols))], bb)
+    if xs is None:
         return None
-    if any(v < 0 for v in sol):
+    if any(v < 0 for v in xs):
         return ("degenerate", None)
-    cb = [_frac(cost[j]) for j in basis]
-    yT = _frac_solve([list(r) for r in zip(*Bf)], cb)
+    yT = _int_solve([a[:m] for a, _ in cols], [a[m] for a, _ in cols])
     if yT is None:
         return None
     x_full = [Fraction(0)] * full.shape[1]
-    for i, j in enumerate(basis):
-        x_full[j] = sol[i]
-    obj = sum(_frac(cost[j]) * x_full[j] for j in range(n))
-    basis_set = set(int(j) for j in basis)
-    for j in range(full.shape[1]):
-        if not allow[j] or j in basis_set:
-            continue
-        red = _frac(cost[j]) - sum(yT[i] * _frac(full[i, j]) for i in range(m))
-        if red < 0:
-            return ("enter", j)
+    for v, j, (_, s) in zip(xs, basis, cols):
+        x_full[j] = v * Fraction(1 << s, 1 << sb)
+    obj = sum(Fraction(cost[j]) * x_full[j] for j in basis if j < n)
+    # |fl(red) - red| <= (m+1) u (|c| + |y||A|) for u = 2^-53, plus u |y||A| from
+    # rounding y; tiny covers underflow, and a non-finite bound clears nothing
+    yf = np.array([float(v) for v in yT])
+    red = cost - yf @ full
+    bound = (m + 2) * 2.0**-52 * (np.abs(cost) + np.abs(yf) @ np.abs(full))
+    clear = (red >= bound + np.finfo(float).tiny) & np.isfinite(bound)
+    clear[basis] = True
+    den = lcm(*(v.denominator for v in yT))
+    supp = [i for i, v in enumerate(yT) if v]
+    Y = [yT[i].numerator * (den // yT[i].denominator) for i in supp]
+    for j in np.flatnonzero(allow & ~clear):
+        a, _ = _dyadic(full[supp, j].tolist() + [cost[j]])
+        if a[-1] * den < sum(yi * ai for yi, ai in zip(Y, a)):
+            return ("enter", int(j))
     duals = [(-y if f else y) for y, f in zip(yT, flip)]
     return ("ok", x_full, obj, duals)
 
 
-def _frac_solve(M, rhs):
-    """Gaussian elimination over Fractions; None if singular."""
+def _int_solve(rows, rhs):
+    """Solve rows . x = rhs for integer rows by fraction-free Gauss-Jordan
+    elimination, dividing each updated row by the gcd of its entries; rows
+    with a zero in the pivot column are skipped.  None if singular."""
     m = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
+    aug = [r + [v] for r, v in zip(rows, rhs)]
+    free = list(range(m))
+    pivots = []
+    for k in range(m):
+        live = [i for i in free if aug[i][k]]
+        if not live:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
+        r = min(live, key=lambda i: len(aug[i]) - aug[i].count(0))  # sparsest
+        free.remove(r)
+        pivots.append(r)
+        prow = aug[r]
+        p = prow[k]
+        for i in range(m):
+            f = aug[i][k]
+            if f and i != r:
+                row = [p * a - f * c for a, c in zip(aug[i], prow)]
+                g = gcd(*row)
+                aug[i] = [a // g for a in row] if g > 1 else row
+    return [Fraction(aug[r][m], aug[r][k]) for k, r in enumerate(pivots)]

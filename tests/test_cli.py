@@ -255,11 +255,12 @@ def test_poincare_command(tmp_path):
 
 
 def test_poincare_sides_once_per_function(tmp_path, monkeypatch):
-    # once for the indicator, once (inside coarea) for the random function
-    calls = count_calls(monkeypatch, "poincare_sides", poincare, cli)
+    # once (inside coarea) for the random function; the indicator's sides are
+    # the set's perimeters, which the command computes anyway
+    calls = count_calls(monkeypatch, "poincare_sides", poincare)
     argv = ["poincare", "--k", "1", "--set", "box(2,2,3)", "--values=-2,3", "--seed", "4"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_bad_region_exit_code(tmp_path):

@@ -10,6 +10,7 @@ from heislab.perimeter import (
     column_set,
     generator_step,
     horizontal_perimeter,
+    parse_set_spec,
     random_blob,
     vertical_perimeter,
 )
@@ -58,6 +59,20 @@ def test_indicator_error_bound_is_the_perimeters():
     S = column_set(1, 2000)
     sides = poincare_sides(LatticeFunction.indicator(S))
     assert (sides.lhs, sides.lhs_err) == vertical_perimeter(S)
+
+
+@pytest.mark.parametrize(
+    "k, spec",
+    [(1, "random_blob(2000,7)"), (1, "box(3,3,6)"), (2, "ball(4)"), (1, "box(10,10,50)"),
+     (1, "column(2000)")],
+)
+def test_indicator_sides_are_the_perimeters_bit_for_bit(k, spec):
+    # poincare_sides on the indicator is the oracle for the perimeters that
+    # the poincare command writes as the indicator's sides
+    S = parse_set_spec(k, spec)
+    sides = poincare_sides(LatticeFunction.indicator(S))
+    v, verr = vertical_perimeter(S)
+    assert (sides.lhs, sides.lhs_err, sides.rhs) == (v, verr, float(2 * horizontal_perimeter(S)))
 
 
 @given(

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislab import simplex
+from heislab.embeddings import ball_metric, c1_distortion, cycle_metric
 from heislab.rng import Rng
 from heislab.simplex import solve_lp
 
@@ -75,6 +77,124 @@ def test_exact_refinement():
     res = solve_lp([-1, -1], [[2, 1], [1, 3]], [3, 5], ["<=", "<="], refine=True)
     assert res.exact
     assert res.objective == pytest.approx(float(-(Fraction(4, 5) + Fraction(7, 5))))
+
+
+def test_certificate_fits_the_input_exactly():
+    # min x0 + x1  s.t.  x0 >= 0.1,  0.3 x0 + x1 >= 0.3; neither 0.1 nor 0.3 is a
+    # binary fraction, so the float entries differ from the decimals they print as
+    A = [[1.0, 0.0], [0.3, 1.0]]
+    b = np.array([0.1, 0.3])
+    full = np.hstack([np.array(A), -np.eye(2)])
+    cost = np.array([1.0, 1.0, 0.0, 0.0])
+    res = simplex._exact_from_basis(
+        full, b, cost, np.array([0, 1]), 2, np.zeros(2, bool), np.ones(4, bool)
+    )
+    assert res[0] == "ok"
+    _, x, obj, duals = res
+    assert x[0] == Fraction(0.1) != Fraction(1, 10)
+    for row, rhs in zip(full.tolist(), b.tolist()):
+        assert sum(Fraction(a) * v for a, v in zip(row, x)) == Fraction(rhs)
+    assert all(v >= 0 for v in x)
+    assert obj == sum(Fraction(c) * v for c, v in zip(cost.tolist(), x))
+    assert obj == sum(y * Fraction(v) for y, v in zip(duals, b.tolist()))
+
+
+def exact_from_basis_oracle(full, b, cost, basis, n, flip, allow):
+    """Fraction Gauss-Jordan on B and B^T plus a reduced cost for every
+    nonbasic column, on the floats taken exactly; the contract of
+    ``simplex._exact_from_basis`` without its float screen."""
+    m = len(b)
+    Bf = [[Fraction(full[i, j]) for j in basis] for i in range(m)]
+    sol = fraction_solve(Bf, [Fraction(v) for v in b])
+    if sol is None:
+        return None
+    if any(v < 0 for v in sol):
+        return ("degenerate", None)
+    yT = fraction_solve([list(r) for r in zip(*Bf)], [Fraction(cost[j]) for j in basis])
+    if yT is None:
+        return None
+    x_full = [Fraction(0)] * full.shape[1]
+    for i, j in enumerate(basis):
+        x_full[j] = sol[i]
+    obj = sum(Fraction(cost[j]) * x_full[j] for j in range(n))
+    basis_set = set(int(j) for j in basis)
+    for j in range(full.shape[1]):
+        if not allow[j] or j in basis_set:
+            continue
+        red = Fraction(cost[j]) - sum(yT[i] * Fraction(full[i, j]) for i in range(m))
+        if red < 0:
+            return ("enter", j)
+    duals = [(-y if f else y) for y, f in zip(yT, flip)]
+    return ("ok", x_full, obj, duals)
+
+
+def fraction_solve(M, rhs):
+    """Gaussian elimination over Fractions; None if singular."""
+    m = len(rhs)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(M)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * c for a, c in zip(aug[r], aug[col])]
+    return [aug[i][m] for i in range(m)]
+
+
+@pytest.fixture
+def checked_against_oracle(monkeypatch):
+    """Compare every refinement call of solve_lp with the oracle; the list
+    collects the verdicts."""
+    verdicts = []
+    screened = simplex._exact_from_basis
+
+    def both(*args):
+        got = screened(*args)
+        assert got == exact_from_basis_oracle(*args)
+        verdicts.append(None if got is None else got[0])
+        return got
+
+    monkeypatch.setattr(simplex, "_exact_from_basis", both)
+    return verdicts
+
+
+def test_screen_matches_oracle_on_random_lps(checked_against_oracle):
+    for seed in range(30):
+        rng = Rng(seed)
+        m, n = 4, 5
+        A = rng.uniforms(m * n).reshape(m, n) * 2.0 - 0.5
+        b = rng.uniforms(m) * 2.0 - 0.3
+        c = rng.uniforms(n) * 2.0 - 0.5
+        senses = ["<=", ">=", "=", "<="]
+        solve_lp(c, A, b, senses, refine=True)
+    assert "ok" in checked_against_oracle
+
+
+@pytest.mark.parametrize("name", ["cycle:9", "ball:1,2|subsample:9"])
+def test_screen_matches_oracle_on_distortion_lps(checked_against_oracle, name):
+    # integer metrics: many reduced costs are exactly zero
+    if name == "cycle:9":
+        ms = cycle_metric(9)
+    else:
+        _, ms = ball_metric(1, 2)[0].subsample_farthest(9)
+    rep = c1_distortion(ms, refine=True)
+    assert rep.exact and checked_against_oracle[-1] == "ok"
+
+
+def test_screen_sends_close_reduced_costs_to_the_exact_check():
+    # min x0 + x1  s.t.  3 x0 + (3 + 2^-51) x1 >= 1, basis {x0}: y = 1/3 and the
+    # reduced cost of x1 is -2^-51/3, but in float it comes out 0
+    full = np.array([[3.0, 3.0 + 2.0**-51, -1.0]])
+    b = np.array([1.0])
+    cost = np.array([1.0, 1.0, 0.0])
+    args = (full, b, cost, np.array([0]), 2, np.zeros(1, bool), np.ones(3, bool))
+    assert cost[1] - (1.0 / 3.0) * full[0, 1] >= 0.0
+    assert simplex._exact_from_basis(*args) == ("enter", 1)
+    assert exact_from_basis_oracle(*args) == ("enter", 1)
 
 
 def brute_force_optimum(c, A, b, senses):
