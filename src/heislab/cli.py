@@ -6,9 +6,9 @@ byte-identical files; ``run_record.json`` differs only in ``wall_time_s``.
 
 A command is ``cmd_*(args, out) -> (params, summary)``: it writes its
 data files through ``out`` and returns its configuration and a one-line
-summary.  The frame in ``main`` does the rest: it creates ``out``, writes
-``run_record.json`` from params and the names ``out`` wrote, prints the
-summary and sets the exit code.
+summary.  The frame in ``main`` does the rest: it pins the BLAS pool to
+one thread, creates ``out``, writes ``run_record.json`` from params and
+the names ``out`` wrote, prints the summary and sets the exit code.
 
 Exit codes: 0 success, 2 bad input, 3 resource cap exceeded,
 4 iterative solver failed to converge (results are still written).
@@ -49,7 +49,7 @@ from .embeddings import (
 )
 from .errors import ConvergenceError, ResourceCapError, ValidationError
 from .lines import interval_histogram, nonmonotonicity
-from .parallel import shared_pool
+from .parallel import one_blas_thread, shared_pool
 from .perimeter import (
     default_corpus,
     horizontal_perimeter,
@@ -703,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with shared_pool():
+        with shared_pool(), one_blas_thread():
             t0 = time.monotonic()
             out = _OutDir(args.out_dir)
             params, summary = args.fn(args, out)

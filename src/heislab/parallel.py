@@ -10,12 +10,18 @@ Inside a shared_pool() block every block_map call reuses one process
 pool, sized by and started on the first call that needs more than one
 worker, and shut down when the block ends; a call outside such a block
 is a block of its own.
+
+one_blas_thread() pins numpy's bundled OpenBLAS pool to one thread for a
+block: solver floats depend on the pool size, so this keeps their files
+byte-identical at any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import cache
+from pathlib import Path
 
 _scope: dict | None = None  # {"pool": executor} once started, inside shared_pool()
 
@@ -47,3 +53,41 @@ def block_map(fn, payloads: list, workers: int = 1) -> list:
         if "pool" not in _scope:
             _scope["pool"] = ProcessPoolExecutor(max_workers=workers)
         return list(_scope["pool"].map(fn, payloads))
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with the bundled OpenBLAS pool at one thread and restore
+    the old count on exit; without that library the block runs unpinned."""
+    pool = _openblas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+
+    import numpy as np
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None

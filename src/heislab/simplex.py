@@ -2,8 +2,15 @@
 
 Solves  min c.x  s.t.  A x (<= | >= | =) b,  x >= 0.
 
-Pricing is Dantzig by default and falls back to Bland's rule after a
-stall, which guarantees termination on degenerate problems.  The basis
+Pricing is Dantzig's rule.  The first stall (_STALL pivots without
+progress) shifts the right-hand side, b <- b + B.delta for a small fixed
+delta > 0, so that every basic value is strictly positive and Dantzig
+pivots progress again (Wolfe, 1963).  At the shifted optimum the given b
+comes back; reduced costs do not depend on b, so the basis stays dual
+feasible, and dual simplex pivots by Bland's rule clear any negative basic
+value before a last pricing pass.  Bland's rule is the last resort, for a
+second stall, and guarantees termination.  In phase 2 an artificial still
+basic at zero blocks every column that would move it.  The basis
 system is re-solved each iteration (problems here are small), pricing is
 vectorized over all columns.  Duals follow the convention of the
 minimization form: >= rows get nonnegative multipliers, <= rows
@@ -24,14 +31,17 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .rng import Rng
+
 _TOL_RC = 1e-9
 _TOL_RATIO = 1e-10
 _STALL = 60
+_PERTURB = 1e-7  # rhs shift after a stall, relative to 1 + max |b|
 
 
 @dataclass
 class LpResult:
-    status: str  # optimal | infeasible | unbounded | iteration_cap
+    status: str  # optimal | infeasible | unbounded | iteration_cap | numerical
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None
@@ -40,19 +50,16 @@ class LpResult:
 
 
 class _Tableau:
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, n_struct: int):
-        self.A = A
-        self.b = b
-        self.c = c
-        self.n_struct = n_struct  # structural + slack columns; artificials after
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray):
+        self.A, self.b, self.basis = A, b, basis
         self.m, self.n = A.shape
-        self.basis = None
+        self.c = np.zeros(self.n)
         self.iterations = 0
 
     def run(self, allow, max_iter: int) -> str:
         """Iterate to optimality over the allowed columns."""
-        stall = 0
-        last_obj = np.inf
+        stall, last_obj = 0, np.inf
+        b0, shifted = None, False  # b0: the rhs as given, while shifted
         while True:
             if self.iterations >= max_iter:
                 return "iteration_cap"
@@ -65,30 +72,77 @@ class _Tableau:
             obj = float(self.c[self.basis] @ xb)
             stall = stall + 1 if obj >= last_obj - 1e-13 * (1 + abs(obj)) else 0
             last_obj = min(last_obj, obj)
+            if stall > _STALL and not shifted:
+                # raise each allowed basic value by its own small amount
+                u = Rng(7).uniforms(self.m)
+                delta = _PERTURB * (1.0 + np.abs(self.b).max()) * (1.0 + u)
+                delta[~allow[self.basis]] = 0.0
+                b0, self.b = self.b, self.b + B @ delta
+                shifted, stall, last_obj = True, 0, np.inf
+                continue
             if stall <= _STALL:
                 j = int(np.argmin(red))
-                if red[j] >= -_TOL_RC * (1.0 + abs(obj)):
-                    return "optimal"
+                optimal = red[j] >= -_TOL_RC * (1.0 + abs(obj))
             else:
                 # Bland: lowest-index improving column, immune to cycling
                 neg = np.flatnonzero(red < -_TOL_RC * (1.0 + abs(obj)))
-                if len(neg) == 0:
+                optimal = len(neg) == 0
+                j = int(neg[0]) if len(neg) else -1
+            if optimal:
+                if b0 is None:
                     return "optimal"
-                j = int(neg[0])
-            if not self.pivot_on(j, B, xb):
+                # reduced costs do not depend on b: restore it, then price again
+                self.b, b0 = b0, None
+                status = self._dual_cleanup(allow, max_iter)
+                if status is not None:
+                    return status
+                continue
+            if not self.pivot_on(j, allow, B, xb):
                 return "unbounded"
 
-    def pivot_on(self, j: int, B=None, xb=None) -> bool:
-        """One pivot with entering column j; False if no leave exists."""
+    def _dual_cleanup(self, allow, max_iter: int) -> str | None:
+        """Dual simplex pivots by Bland's rule until no basic value is
+        negative and no phase-2 artificial positive; None, or the status to
+        stop with.  The entering column keeps every reduced cost >= 0."""
+        tol = 1e-9 * (1.0 + np.abs(self.b).max())
+        while True:
+            B = self.A[:, self.basis]
+            xb = np.linalg.solve(B, self.b)
+            art = ~allow[self.basis]
+            bad = np.flatnonzero((xb < -tol) | (art & (xb > tol)))
+            if len(bad) == 0:
+                return None
+            if self.iterations >= max_iter:
+                return "iteration_cap"
+            r = int(bad[np.argmin(self.basis[bad])])
+            row = np.linalg.solve(B.T, np.eye(self.m)[r]) @ self.A
+            g = row if xb[r] > 0 else -row  # raising x_j, g_j > 0, moves x_r back
+            y = np.linalg.solve(B.T, self.c[self.basis])
+            red = np.maximum(self.c - y @ self.A, 0.0)
+            cand = allow & (g > _TOL_RATIO)
+            cand[self.basis] = False
+            if not np.any(cand):
+                return "numerical"
+            ratios = np.full(self.n, np.inf)
+            ratios[cand] = red[cand] / g[cand]
+            j = int(np.flatnonzero(ratios <= np.min(ratios) + _TOL_RATIO)[0])
+            self.basis[r] = j
+            self.iterations += 1
+
+    def pivot_on(self, j: int, allow, B=None, xb=None) -> bool:
+        """One pivot with entering column j; False if no leave exists.  A
+        basic column not allowed (a phase-2 artificial) blocks at ratio 0."""
         if B is None:
             B = self.A[:, self.basis]
             xb = np.linalg.solve(B, self.b)
         d = np.linalg.solve(B, self.A[:, j])
         pos = d > _TOL_RATIO
-        if not np.any(pos):
+        held = ~allow[self.basis] & (d < -_TOL_RATIO)
+        if not np.any(pos | held):
             return False
         ratios = np.full(self.m, np.inf)
         ratios[pos] = xb[pos] / d[pos]
+        ratios[held] = 0.0
         rmin = float(np.min(ratios))
         cand = np.flatnonzero(ratios <= rmin + _TOL_RATIO)
         # leaving tie-break by lowest basis column index (Bland-compatible)
@@ -107,60 +161,41 @@ def solve_lp(
     refine: bool = False,
 ) -> LpResult:
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
     senses = list(senses)
     if len(senses) != m or len(b) != m or len(c) != n:
         raise ValueError("inconsistent LP dimensions")
-
-    A = A.copy()
-    flip = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            flip[i] = True
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_cols = []
-    art_rows = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            slack_cols.append((i, 1.0))
-        elif s == ">=":
-            slack_cols.append((i, -1.0))
-            art_rows.append(i)
-        elif s == "=":
-            art_rows.append(i)
-        else:
+    for s in senses:
+        if s not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {s!r}")
+
+    flip = b < 0  # rows negated so that b >= 0
+    A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
+    swap = {"<=": ">=", ">=": "<=", "=": "="}
+    senses = [swap[s] if f else s for s, f in zip(senses, flip)]
+    slack_cols = [(i, 1.0 if s == "<=" else -1.0) for i, s in enumerate(senses) if s != "="]
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
 
     n_slack = len(slack_cols)
     n_art = len(art_rows)
     N = n + n_slack + n_art
     full = np.zeros((m, N))
     full[:, :n] = A
+    basis = np.empty(m, dtype=np.int64)  # <= slacks and artificials
     for j, (i, sgn) in enumerate(slack_cols):
         full[i, n + j] = sgn
-    for j, i in enumerate(art_rows):
-        full[i, n + n_slack + j] = 1.0
-
-    tab = _Tableau(full, b, np.zeros(N), n + n_slack)
-    basis = np.empty(m, dtype=np.int64)
-    art_of_row = {i: n + n_slack + j for j, i in enumerate(art_rows)}
-    for j, (i, sgn) in enumerate(slack_cols):
         if sgn > 0:
             basis[i] = n + j
-    for i in range(m):
-        if i in art_of_row:
-            basis[i] = art_of_row[i]
-    tab.basis = basis
+    for j, i in enumerate(art_rows):
+        full[i, n + n_slack + j] = 1.0
+        basis[i] = n + n_slack + j
+    tab = _Tableau(full, b, basis)
 
+    allow = np.ones(N, dtype=bool)
     if n_art:
-        tab.c = np.zeros(N)
         tab.c[n + n_slack :] = 1.0
-        allow = np.ones(N, dtype=bool)
         status = tab.run(allow, max_iter)
         if status != "optimal":
             return LpResult(status, iterations=tab.iterations)
@@ -171,7 +206,6 @@ def solve_lp(
 
     tab.c = np.zeros(N)
     tab.c[:n] = c
-    allow = np.ones(N, dtype=bool)
     allow[n + n_slack :] = False  # artificials may linger basic at zero
     status = tab.run(allow, max_iter)
     if status != "optimal":
@@ -190,7 +224,7 @@ def solve_lp(
                     "optimal", x, float(obj_ex), duals, tab.iterations, exact=True
                 )
             # an exactly-improving column slipped past float pricing: pivot on it
-            if not tab.pivot_on(int(res[1])):
+            if not tab.pivot_on(int(res[1]), allow):
                 break
 
     B = full[:, tab.basis]

@@ -346,3 +346,20 @@ def test_run_record_lists_every_file(tmp_path, name):
     assert main(argv + ["--out-dir", str(tmp_path)]) == rc
     written = sorted(p.name for p in tmp_path.iterdir() if p.name != "run_record.json")
     assert read_record(tmp_path)["outputs"] == written
+
+
+def test_one_blas_thread_restores_the_pool():
+    from heislab import parallel
+
+    pool = parallel._openblas_threads()
+    if pool is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, set_ = pool
+    old = get()
+    set_(2)
+    try:
+        with parallel.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(old)

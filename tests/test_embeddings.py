@@ -224,3 +224,65 @@ def test_c1_lp_stopped_short_is_convergence_error(monkeypatch, tmp_path):
     with pytest.raises(ConvergenceError):
         c1_distortion(cycle_metric(5))
     assert main(["c1", "--demo", "cycle:5", "--out-dir", str(tmp_path)]) == 4
+
+
+def assert_certified(ms, rep):
+    """Replay the cuts and check the LP duals, with no outside solver."""
+    lo, hi = rep.replay(ms)
+    assert 1.0 - 1e-9 <= lo and hi <= rep.distortion + 1e-9
+    masks = np.arange(1, 1 << (ms.n - 1), dtype=np.uint32)
+    delta = cut_pair_matrix(masks, ms.n)
+    d = ms.pair_distances()
+    mu, nu = rep.noncontraction_duals, rep.expansion_duals
+    assert np.all(delta.T @ (mu - nu) <= 1e-9)
+    assert float(nu @ d) <= 1.0 + 1e-9
+    assert float(mu @ d) == pytest.approx(rep.distortion, abs=1e-9)
+
+
+def ball_sub11():
+    return ball_metric(1, 2)[0].subsample_farthest(11)[1]
+
+
+def test_degenerate_cycle_lp_takes_few_pivots():
+    ms = cycle_metric(10)
+    rep = c1_distortion(ms, refine=False)
+    assert rep.iterations < 2000
+    assert_certified(ms, rep)
+
+
+@pytest.mark.parametrize("name", ["ball-sub11", "random-12-4"])
+def test_degenerate_lps_below_the_point_limit_finish(name):
+    ms = ball_sub11() if name == "ball-sub11" else random_metric(12, seed=4)
+    assert_certified(ms, c1_distortion(ms, refine=False))
+
+
+def test_dual_cleanup_restores_feasibility(monkeypatch):
+    # a shift this large leaves negative basic values once b is restored
+    import heislab.embeddings as emb
+    from heislab import simplex
+
+    monkeypatch.setattr(simplex, "_PERTURB", 1e-4)
+    dual_pivots, lps = [], []
+    cleanup = simplex._Tableau._dual_cleanup
+
+    def counted(tab, *args):
+        before = tab.iterations
+        status = cleanup(tab, *args)
+        dual_pivots.append(tab.iterations - before)
+        return status
+
+    def kept(*args, **kw):
+        res = simplex.solve_lp(*args, **kw)
+        lps.append((args, res))
+        return res
+
+    monkeypatch.setattr(simplex._Tableau, "_dual_cleanup", counted)
+    monkeypatch.setattr(emb, "solve_lp", kept)
+    ms = ball_sub11()
+    rep = c1_distortion(ms, refine=False)
+    assert sum(dual_pivots) >= 1
+    assert_certified(ms, rep)
+    (c, A, b, senses), res = lps[0]
+    assert np.all(res.x >= -1e-9)
+    for row, bi, sense in zip(A @ res.x, b, senses):
+        assert row >= bi - 1e-9 if sense == ">=" else row <= bi + 1e-9

@@ -14,8 +14,9 @@ to ``FiniteSet`` rows plus a value array.
 The solver digests (``c1``, ``sparsest-cut``, ``duality``) were recorded
 before the metric codec, the cut-incidence matrix and the triangle rows
 were merged.  Their floats depend on the BLAS thread count, so they are
-computed in one child process with every BLAS pool pinned to one thread
-before numpy is imported.
+computed in one child process with every BLAS pool set to one thread
+before numpy is imported, and again in a child that starts with two
+threads, which the CLI's own pin must bring back to the same bytes.
 
 The ``run_record.json`` digests (taken with ``wall_time_s`` dropped), the
 ``box-profile`` and ``nm`` cases and the stdout summary lines were
@@ -241,14 +242,13 @@ print(json.dumps(out))
 """
 
 
-@pytest.fixture(scope="module")
-def solver_runs(tmp_path_factory):
-    """(root, {case: [exit code, stdout]}) of every solver case, run in one child."""
-    root = tmp_path_factory.mktemp("solver_golden")
+def _solver_child(root, threads):
+    """(root, {case: [exit code, stdout]}) of every solver case, run in one
+    child whose BLAS pools start with the given thread count."""
     (root / "cycle6.txt").write_text(CYCLE6)
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = threads
     src = str(Path(heislab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argvs = {name: argv for name, (argv, _) in SOLVER_GOLDEN.items()}
@@ -257,6 +257,11 @@ def solver_runs(tmp_path_factory):
         cwd=root, env=env, capture_output=True, text=True, check=True,
     )
     return root, json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def solver_runs(tmp_path_factory):
+    return _solver_child(tmp_path_factory.mktemp("solver_golden"), "1")
 
 
 @pytest.mark.parametrize("name", sorted(SOLVER_GOLDEN))
@@ -268,3 +273,12 @@ def test_solver_golden_digests(solver_runs, name):
     assert got == SOLVER_GOLDEN[name][1]
     if name in SUMMARIES:
         assert stdout == SUMMARIES[name] + "\n"
+
+
+def test_solver_golden_digests_at_two_blas_threads(tmp_path):
+    # the CLI pins the bundled OpenBLAS pool to one thread, so a child that
+    # starts with two writes the same bytes
+    root, runs = _solver_child(tmp_path, "2")
+    for name, (_, want) in SOLVER_GOLDEN.items():
+        assert runs[name][0] == 0
+        assert {fname: _digest(root / name / fname) for fname in want} == want

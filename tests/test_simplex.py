@@ -44,6 +44,11 @@ def test_negative_rhs_row():
     assert res.x[0] == pytest.approx(0.5)
 
 
+def test_bad_sense_is_rejected_on_a_flipped_row():
+    with pytest.raises(ValueError, match="bad sense"):
+        solve_lp([1], [[1]], [-1], ["=<"])
+
+
 def test_duality_and_signs():
     c = [3.0, 5.0]
     A = [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]
@@ -248,3 +253,79 @@ def test_matches_vertex_enumeration(seed):
 def test_iteration_cap():
     res = solve_lp([-1, -1], [[1, 1]], [1], ["<="], max_iter=1)
     assert res.status in ("optimal", "iteration_cap")
+
+
+def assert_certified_optimum(c, A, b, senses, res, want):
+    """x meets every row, y is dual feasible, and c.x = y.b = want."""
+    A, b, c = np.asarray(A, float), np.asarray(b, float), np.asarray(c, float)
+    assert res.status == "optimal"
+    assert np.all(res.x >= -1e-9)
+    for row, bi, yi, sense in zip(A @ res.x, b, res.duals, senses):
+        if sense != "<=":
+            assert row >= bi - 1e-9
+        if sense != ">=":
+            assert row <= bi + 1e-9
+        if sense == ">=":
+            assert yi >= -1e-9
+        if sense == "<=":
+            assert yi <= 1e-9
+    assert np.all(A.T @ res.duals <= c + 1e-9)
+    assert res.objective == pytest.approx(want, abs=1e-7)
+    assert float(res.duals @ b) == pytest.approx(want, abs=1e-7)
+
+
+def test_phase2_artificial_is_not_raised():
+    # the artificial of row 1 is basic at zero in phase 2 and blocks the
+    # entering column; raising it would break 0.125 >= 2
+    c = [-2, 0, 1, 2]
+    A = [[1, 3, 2, 1], [0, 1, 1, 2], [3, 3, 3, 3], [3, 1, 2, 2], [-1, -1, 2, 0]]
+    b = [1, 2, 0, 2, 0]
+    senses = ["=", ">=", ">=", "<=", ">="]
+    res = solve_lp(c, A, b, senses)
+    assert brute_force_optimum(c, A, b, senses) == pytest.approx(2.0)
+    assert_certified_optimum(c, A, b, senses, res, 2.0)
+    assert res.x == pytest.approx([0, 0, 0, 1], abs=1e-9)
+
+
+def test_dual_cleanup_drives_a_phase2_artificial_out():
+    # x1 + x2 = 1 with its artificial basic at 1: dual feasible, not primal
+    tab = simplex._Tableau(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]), np.array([2]))
+    tab.c = np.array([1.0, 2.0, 0.0])
+    assert tab._dual_cleanup(np.array([True, True, False]), 10) is None
+    assert tab.basis.tolist() == [0] and tab.iterations == 1
+
+
+def test_dual_cleanup_without_an_entering_column_stops():
+    # x1 + x2 = -1 has no solution x >= 0: the cleanup must not claim one
+    tab = simplex._Tableau(np.array([[1.0, 1.0]]), np.array([-1.0]), np.array([0]))
+    assert tab._dual_cleanup(np.ones(2, dtype=bool), 10) == "numerical"
+
+
+DEGENERATE_LPS = st.tuples(
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.lists(st.lists(st.integers(-1, 3), min_size=4, max_size=4), min_size=5, max_size=5),
+    st.lists(st.integers(0, 2), min_size=5, max_size=5),
+    st.lists(st.sampled_from(["<=", ">=", "="]), min_size=5, max_size=5),
+)
+
+
+@pytest.mark.parametrize("stall", [simplex._STALL, 0])
+@given(DEGENERATE_LPS)
+@settings(max_examples=80, deadline=None)
+def test_degenerate_integer_lps_match_vertex_enumeration(stall, lp):
+    # stall 0 shifts the rhs at the first pivot without progress, phase 1
+    # included, so most of these LPs go through the shift and the cleanup
+    c, A, b, senses = lp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_STALL", stall)
+        res = solve_lp(c, A, b, senses)
+    want = brute_force_optimum(c, A, b, senses)
+    if want is None:
+        assert res.status == "infeasible"
+        return
+    # unbounded iff some ray r >= 0 with sum(r) = 1 keeps the rows and has c.r < 0
+    ray = brute_force_optimum(c, A + [[1] * 4], [0] * 5 + [1], senses + ["="])
+    if ray is not None and ray < -1e-9:
+        assert res.status == "unbounded"
+    else:
+        assert_certified_optimum(c, A, b, senses, res, want)
