@@ -48,7 +48,7 @@ from .embeddings import (
     random_metric,
 )
 from .errors import ConvergenceError, ResourceCapError, ValidationError
-from .lines import interval_histogram, nonmonotonicity
+from .lines import nonmonotonicity
 from .parallel import one_blas_thread, shared_pool
 from .perimeter import (
     default_corpus,
@@ -258,9 +258,7 @@ def cmd_nm(args, out) -> tuple[dict, str]:
     rep = nonmonotonicity(
         region, args.radius, args.lines, args.seed, args.steps, args.workers
     )
-    hist = interval_histogram(
-        region, args.radius, args.lines, args.seed, args.steps, args.workers
-    )
+    hist = rep.histogram
     z = rep.value / rep.stderr if rep.stderr > 0 else None
     obj = {
         "kind": "nonmonotonicity",

@@ -14,7 +14,9 @@ Monte Carlo estimator.
 
 ``voxelize`` turns a region into a finite set of lattice points (the
 discrete side of the package) by majority sampling over scaled lattice
-cells.
+cells.  A cell whose sample box an interval bound places wholly inside
+or wholly outside the region is decided without drawing its samples,
+which would all agree with that verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, require_positive
 from .parallel import block_map
 from .perimeter import FiniteSet
 from .rng import Rng, substream_seeds, uniform_matrix
@@ -52,9 +54,21 @@ class Region:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _split(self, pts):
-        k = self.k
-        return pts[:, : 2 * k], pts[:, 2 * k], np.abs(pts[:, : 2 * k]).sum(axis=1)
+    def box_verdict(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per coordinate box [lo, hi] (one row each): 1 if contains() holds
+        at every point of it, -1 if at none, 0 if undecided."""
+        return np.zeros(len(lo), dtype=np.int8)
+
+
+def _abs_range(lo, hi):
+    """Smallest and largest |t| over each interval [lo, hi]."""
+    amax = np.maximum(np.abs(lo), np.abs(hi))
+    amin = np.where((lo < 0) & (hi > 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    return amin, amax
+
+
+def _verdict(inside, outside) -> np.ndarray:
+    return inside.astype(np.int8) - outside.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -62,13 +76,24 @@ class QuasiBall(Region):
     R: float
 
     def contains(self, pts):
-        xy, z, l1 = self._split(pts)
-        return l1 + 4.0 * np.sqrt(np.abs(z)) <= self.R
+        k = self.k
+        l1 = np.abs(pts[:, : 2 * k]).sum(axis=1)
+        return l1 + 4.0 * np.sqrt(np.abs(pts[:, 2 * k])) <= self.R
 
     def bounding_box(self):
         k, R = self.k, self.R
         lo = np.array([-R] * (2 * k) + [-(R * R) / 16.0])
         return lo, -lo
+
+    def box_verdict(self, lo, hi):
+        # the quasi-norm is increasing in every |coordinate|, and so is its
+        # rounded evaluation, so its values on the box lie between those at
+        # the smallest and the largest absolute coordinates
+        amin, amax = _abs_range(lo, hi)
+        k = self.k
+        q_lo = amin[:, : 2 * k].sum(axis=1) + 4.0 * np.sqrt(amin[:, 2 * k])
+        q_hi = amax[:, : 2 * k].sum(axis=1) + 4.0 * np.sqrt(amax[:, 2 * k])
+        return _verdict(q_hi <= self.R, q_lo > self.R)
 
 
 @dataclass(frozen=True)
@@ -78,8 +103,8 @@ class Box(Region):
     r: float
 
     def contains(self, pts):
-        xy, z, _ = self._split(pts)
-        return (np.abs(xy) <= self.r).all(axis=1) & (np.abs(z) <= self.r * self.r)
+        k, r = self.k, self.r
+        return (np.abs(pts[:, : 2 * k]) <= r).all(axis=1) & (np.abs(pts[:, 2 * k]) <= r * r)
 
     def bounding_box(self):
         k, r = self.k, self.r
@@ -88,37 +113,35 @@ class Box(Region):
 
 
 @dataclass(frozen=True)
-class HalfSpaceCap(Region):
+class HalfSpaceCap(QuasiBall):
     """{x_axis >= offset} intersected with the quasi-ball of radius R."""
 
-    R: float
     axis: int = 0
     offset: float = 0.0
 
     def contains(self, pts):
-        xy, z, l1 = self._split(pts)
-        inball = l1 + 4.0 * np.sqrt(np.abs(z)) <= self.R
-        return inball & (pts[:, self.axis] >= self.offset)
+        return super().contains(pts) & (pts[:, self.axis] >= self.offset)
 
-    def bounding_box(self):
-        return QuasiBall(self.k, self.R).bounding_box()
+    def box_verdict(self, lo, hi):
+        a, off = self.axis, self.offset
+        side = _verdict(lo[:, a] >= off, hi[:, a] < off)
+        return np.minimum(super().box_verdict(lo, hi), side)
 
 
 @dataclass(frozen=True)
-class SlabComplementCap(Region):
+class SlabComplementCap(QuasiBall):
     """{|x_axis| >= a} intersected with the quasi-ball of radius R."""
 
-    R: float
     a: float
     axis: int = 0
 
     def contains(self, pts):
-        xy, z, l1 = self._split(pts)
-        inball = l1 + 4.0 * np.sqrt(np.abs(z)) <= self.R
-        return inball & (np.abs(pts[:, self.axis]) >= self.a)
+        return super().contains(pts) & (np.abs(pts[:, self.axis]) >= self.a)
 
-    def bounding_box(self):
-        return QuasiBall(self.k, self.R).bounding_box()
+    def box_verdict(self, lo, hi):
+        amin, amax = _abs_range(lo[:, self.axis], hi[:, self.axis])
+        side = _verdict(amin >= self.a, amax < self.a)
+        return np.minimum(super().box_verdict(lo, hi), side)
 
 
 @dataclass(frozen=True)
@@ -183,6 +206,7 @@ def box_vertical_profile(k: int, r: float, s) -> np.ndarray | float:
     central shift by tau moves 2 min(tau, height) per unit area, so
     profile(s) = (2r)^(2k) * 2 * min(4^s, 2 r^2) / 2^s.
     """
+    require_positive(r, "box half-width")
     s = np.asarray(s, dtype=float)
     area = (2.0 * r) ** (2 * k)
     out = area * 2.0 * np.minimum(4.0**s, 2.0 * r * r) / 2.0**s
@@ -372,11 +396,36 @@ def voxelize(
     points land in the region; exact ties are excluded.  Each cell draws
     from its own substream, so the output is independent of the worker
     count and of which other cells are scanned.
+
+    Cells that region.box_verdict places wholly inside or outside the
+    region on a padded box around all of their sample points are decided
+    without sampling: every sample would agree, so the output is the same.
     """
-    if h <= 0:
-        raise ValidationError("voxel scale must be positive")
+    require_positive(h, "voxel scale")
     if samples_per_cell < 1:
         raise ValidationError("need at least one sample per cell")
+    cells = _candidate_cells(region, h)
+    n_blocks = (len(cells) + _BLOCK - 1) // _BLOCK
+    payloads = [
+        (
+            region,
+            h,
+            samples_per_cell,
+            seed,
+            i * _BLOCK,
+            cells[i * _BLOCK : (i + 1) * _BLOCK],
+        )
+        for i in range(n_blocks)
+    ]
+    members = np.concatenate(block_map(_voxel_block, payloads, workers))
+    if len(members) == 0:
+        raise ValidationError("no cell reached majority; decrease the voxel scale")
+    return FiniteSet(region.k, members)
+
+
+def _candidate_cells(region: Region, h: float) -> np.ndarray:
+    """Lattice points whose cells may meet the region's bounding box, in
+    lexicographic order; position i draws from substream i."""
     k = region.k
     lo, hi = region.bounding_box()
     xy_lo = np.floor(lo[: 2 * k] / h).astype(np.int64) - 1
@@ -396,37 +445,40 @@ def voxelize(
     total = int(counts.sum())
     if total > _CELL_CAP:
         raise ResourceCapError(f"voxel candidate count exceeds {_CELL_CAP}; increase h")
+    # "ij" meshgrid order with w ascending in each column is lexicographic
     rows = np.repeat(np.arange(len(xy_grid)), counts)
     offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    cells = np.column_stack([xy_grid[rows], w_lo[rows] + offs])
-    # candidate order fixes the per-cell substream index
-    cells = cells[np.lexsort(cells.T[::-1])]
-
-    n_blocks = (total + _BLOCK - 1) // _BLOCK
-    payloads = [
-        (
-            region,
-            h,
-            samples_per_cell,
-            seed,
-            i * _BLOCK,
-            cells[i * _BLOCK : (i + 1) * _BLOCK],
-        )
-        for i in range(n_blocks)
-    ]
-    members = np.concatenate(block_map(_voxel_block, payloads, workers))
-    if len(members) == 0:
-        raise ValidationError("no cell reached majority; decrease the voxel scale")
-    return FiniteSet(k, members)
+    return np.column_stack([xy_grid[rows], w_lo[rows] + offs])
 
 
-def _voxel_block(payload) -> np.ndarray:
-    region, h, samples_per_cell, seed, start, cells = payload
+def _cell_boxes(cells: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate boxes (lo, hi), one row per cell, holding every sample
+    point of the cell in exponential coordinates.
+
+    With sample offsets U in [-1/2, 1/2], a cell (x, y, w) has
+    x + U_x, y + U_y and z = w + U_w + x.U_y - (x + U_x).(y + U_y)/2; each
+    product term ranges between its corner values.  Every interval is
+    padded by a relative 1e-9, far above the rounding of the sampled
+    coordinates, which sqrt near z = 0 would otherwise magnify.
+    """
+    k = (cells.shape[1] - 1) // 2
+    c = cells.astype(float)
+    x, y, w = c[:, :k], c[:, k : 2 * k], c[:, 2 * k]
+    corners = [(x + a) * (y + b) for a in (-0.5, 0.5) for b in (-0.5, 0.5)]
+    prod_lo = np.minimum.reduce(corners).sum(axis=1) / 2.0
+    prod_hi = np.maximum.reduce(corners).sum(axis=1) / 2.0
+    spread = 0.5 + 0.5 * np.abs(x).sum(axis=1)
+    lo = np.column_stack([h * (x - 0.5), h * (y - 0.5), h * h * (w - spread - prod_hi)])
+    hi = np.column_stack([h * (x + 0.5), h * (y + 0.5), h * h * (w + spread - prod_lo)])
+    pad = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
+    return lo - pad, hi + pad
+
+
+def _inside_counts(region: Region, h: float, spc: int, seeds, cells) -> np.ndarray:
+    """Per cell, how many of its spc samples (drawn from seeds) lie in the region."""
     k = region.k
     m = len(cells)
-    spc = samples_per_cell
     dim = 2 * k + 1
-    seeds = substream_seeds(seed, start, m)
     U = uniform_matrix(seeds, spc * dim).reshape(m, spc, dim) - 0.5
     x = cells[:, :k].astype(float)[:, None, :]
     y = cells[:, k : 2 * k].astype(float)[:, None, :]
@@ -438,5 +490,14 @@ def _voxel_block(payload) -> np.ndarray:
     pts = np.concatenate(
         [h * px, h * py, (h * h * pz)[:, :, None]], axis=2
     ).reshape(m * spc, dim)
-    inside = region.contains(pts).reshape(m, spc).sum(axis=1)
-    return cells[2 * inside > spc]
+    return region.contains(pts).reshape(m, spc).sum(axis=1)
+
+
+def _voxel_block(payload) -> np.ndarray:
+    region, h, spc, seed, start, cells = payload
+    verdict = region.box_verdict(*_cell_boxes(cells, h))
+    undecided = np.flatnonzero(verdict == 0)
+    seeds = substream_seeds(seed, start, len(cells))[undecided]
+    keep = verdict > 0
+    keep[undecided] = 2 * _inside_counts(region, h, spc, seeds, cells[undecided]) > spc
+    return cells[keep]

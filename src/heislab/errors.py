@@ -1,5 +1,7 @@
 """Exception taxonomy shared by the library and the CLI exit codes."""
 
+import math
+
 
 class ValidationError(ValueError):
     """Malformed or out-of-contract input (CLI exit code 2)."""
@@ -11,3 +13,10 @@ class ResourceCapError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver hit its cap without converging (CLI exit code 4)."""
+
+
+def require_positive(value: float, what: str) -> float:
+    """value, if it is a positive finite number; else a ValidationError."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{what} must be positive and finite")
+    return value

@@ -90,9 +90,7 @@ class DiscreteElement:
         return self.x + self.y + (self.w,)
 
     def to_text(self) -> str:
-        xs = ",".join(str(a) for a in self.x)
-        ys = ",".join(str(a) for a in self.y)
-        return f"{self.k};{xs};{ys};{self.w}"
+        return row_text(self.k, self.coords())
 
     @staticmethod
     def from_text(text: str) -> "DiscreteElement":
@@ -107,6 +105,13 @@ class DiscreteElement:
         for v in el.coords():
             _chk(v)
         return el
+
+
+def row_text(k: int, row) -> str:
+    """Element text k;x1,..,xk;y1,..,yk;w of a coordinate row of ints."""
+    xs = ",".join(map(str, row[:k]))
+    ys = ",".join(map(str, row[k : 2 * k]))
+    return f"{k};{xs};{ys};{row[2 * k]}"
 
 
 def identity(k: int) -> DiscreteElement:

@@ -31,7 +31,7 @@ from math import fsum
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .group import DiscreteElement
+from .group import DiscreteElement, row_text
 from .rng import Rng
 
 _EPS = 2.0 ** -52
@@ -166,8 +166,8 @@ class FiniteSet:
         return FiniteSet(k_new, rows)
 
     def to_lines(self):
-        for row in self.rows.tolist():
-            yield element_from_row(self.k, row).to_text()
+        k = self.k
+        return (row_text(k, row) for row in self.rows.tolist())
 
     @staticmethod
     def from_lines(lines) -> "FiniteSet":

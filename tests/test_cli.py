@@ -268,6 +268,32 @@ def test_bad_region_exit_code(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+NM = ["nm", "--region", "quasi-ball:k=1,R=3"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (NM + ["--radius", "4", "--steps", "0"], "grid step"),
+        (NM + ["--radius", "0"], "observation radius must be positive and finite"),
+        (NM + ["--radius", "nan"], "observation radius must be positive and finite"),
+        (NM + ["--radius", "-2"], "observation radius must be positive and finite"),
+        (NM + ["--radius", "4", "--steps", "-3"], "grid step"),
+        (["box-profile", "--r", "-2"], "box half-width must be positive and finite"),
+        (["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "nan"],
+         "voxel scale must be positive and finite"),
+    ],
+    ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
+         "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan"],
+)
+def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_growth_under_mem_cap(tmp_path):
     # ball(2, 8) has 28,825 points, about 1.5 MiB
     rc = main(["growth", "--k", "2", "--r-max", "8", "--mem-cap-mib", "100",
@@ -295,22 +321,23 @@ def test_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,data_file",
+    "argv,data_file,n_maps",
     [
         (["box-profile", "--k", "1", "--r", "1.5", "--s-min", "0", "--s-max", "3",
-          "--steps", "4", "--mc-samples", "40000", "--seed", "3"], "profile_mc.csv"),
+          "--steps", "4", "--mc-samples", "40000", "--seed", "3"], "profile_mc.csv", 4),
         (["nm", "--region", "two-slab:k=1,R=4,a=0.5", "--radius", "4",
-          "--lines", "600", "--steps", "30", "--seed", "11"], "nm.json"),
+          "--lines", "600", "--steps", "30", "--seed", "11"], "nm.json", 1),
     ],
     ids=["box-profile", "nm"],
 )
-def test_one_process_pool_per_command(tmp_path, pool_counter, argv, data_file):
-    # several blocks per block_map call, and several calls per command
+def test_one_process_pool_per_command(tmp_path, pool_counter, argv, data_file, n_maps):
+    # several blocks per block_map call; box-profile makes one call per
+    # scale, nm one pass over its lines for both statistics
     started, maps = pool_counter
     assert main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "w1")]) == 0
     assert (len(started), len(maps)) == (0, 0)
     assert main(argv + ["--workers", "2", "--out-dir", str(tmp_path / "w2")]) == 0
-    assert len(started) == 1 and len(maps) >= 2
+    assert len(started) == 1 and len(maps) == n_maps
     assert parallel._scope is None  # the pool ends with the command
     w1, w2 = (tmp_path / w / data_file for w in ("w1", "w2"))
     assert w1.read_bytes() == w2.read_bytes()

@@ -11,6 +11,9 @@ from heislab.continuum import (
     HalfSpaceCap,
     QuasiBall,
     SlabComplementCap,
+    _candidate_cells,
+    _cell_boxes,
+    _inside_counts,
     box_profile_knee,
     box_profile_l2,
     box_vertical_profile,
@@ -23,7 +26,7 @@ from heislab.continuum import (
     voxelize,
 )
 from heislab.errors import ResourceCapError, ValidationError
-from heislab.rng import Rng
+from heislab.rng import Rng, substream_seeds
 
 
 def test_quasi_ball_volume_closed_form():
@@ -178,3 +181,89 @@ def test_scaling_identity_mc_paired():
     # other factors agree within a few standard errors
     chk = scaling_identity_check(QuasiBall(1, 2.0), 1.5, 1.5, samples=40_000, seed=7)
     assert chk.residual <= 4.0 * max(chk.stderr, 1e-12)
+
+
+# -- the voxel screen: decided cells agree with every sample ------------------
+
+SCREENED = {
+    "ball-k1": (QuasiBall(1, 2.0), 0.1),
+    # the plane y = 0.35 runs along cell faces, x = 0.52 cuts through cells
+    "cap-k1": (HalfSpaceCap(1, 2.0, 1, 0.35), 0.1),
+    "slab-k1": (SlabComplementCap(1, 2.0, 0.52, 0), 0.1),
+    "ball-k2": (QuasiBall(2, 1.0), 0.25),
+    "cap-k2": (HalfSpaceCap(2, 1.0, 3, 0.0), 0.25),
+    "slab-k2": (SlabComplementCap(2, 1.0, 0.3, 1), 0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED))
+def test_screen_agrees_with_every_sample(name):
+    region, h = SCREENED[name]
+    spc = 16
+    cells = _candidate_cells(region, h)
+    lo, hi = _cell_boxes(cells, h)
+    verdict = region.box_verdict(lo, hi)
+    counts = _inside_counts(region, h, spc, substream_seeds(3, 0, len(cells)), cells)
+    assert np.all(counts[verdict == 1] == spc)
+    assert np.all(counts[verdict == -1] == 0)
+    # the screen decides cells on both sides of z = 0 and skips most of them
+    across = (lo[:, -1] < 0) & (hi[:, -1] > 0)
+    assert np.any(across & (verdict == -1))
+    assert np.count_nonzero(verdict) > 0.7 * len(cells)
+    if region.k == 1:
+        assert np.any(across & (verdict == 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_candidate_cells_in_lexicographic_order(k):
+    # the position of a cell in this order is its substream index
+    cells = _candidate_cells(Dilation(k, Box(k, 0.5), 1.5), 0.4)
+    assert np.array_equal(np.lexsort(cells.T[::-1]), np.arange(len(cells)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cell_boxes_hold_every_sample(k):
+    h, spc = 0.2, 8
+    cells = _candidate_cells(QuasiBall(k, 0.8), h)
+    lo, hi = _cell_boxes(cells, h)
+    seen = []
+
+    class Recorder(Box):
+        def contains(self, pts):
+            seen.append(pts)
+            return super().contains(pts)
+
+    _inside_counts(Recorder(k, 1.0), h, spc, substream_seeds(5, 0, len(cells)), cells)
+    pts = seen[0].reshape(len(cells), spc, 2 * k + 1)
+    assert np.all(pts >= lo[:, None, :]) and np.all(pts <= hi[:, None, :])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_box_verdict_sound_on_random_boxes(k):
+    rng = Rng(11)
+    dim = 2 * k + 1
+    regions = [
+        QuasiBall(k, 2.0),
+        HalfSpaceCap(k, 2.0, k, 0.3),
+        SlabComplementCap(k, 2.0, 0.5, 0),
+    ]
+    n, per = 3000, 12
+    scale = np.array([3.0 / k] * (2 * k) + [0.3])
+    center = (rng.uniforms(n * dim).reshape(n, dim) - 0.5) * scale
+    size = rng.uniforms(n * dim).reshape(n, dim) * scale / 15.0
+    lo, hi = center - size, center + size
+    t = rng.uniforms(n * per * dim).reshape(n, per, dim)
+    t[:, 0], t[:, 1] = 0.0, 1.0  # both extreme corners
+    pts = (lo[:, None, :] + t * (hi - lo)[:, None, :]).reshape(-1, dim)
+    for region in regions:
+        verdict = region.box_verdict(lo, hi)
+        inside = region.contains(pts).reshape(n, per)
+        assert np.all(inside[verdict == 1]) and not np.any(inside[verdict == -1])
+        assert np.any(verdict == 1) and np.any(verdict == -1)
+
+
+def test_unscreened_regions_decide_nothing():
+    lo = np.array([[-0.1, -0.1, -0.01], [5.0, 5.0, 5.0]])
+    hi = lo + 0.05
+    for region in (Box(1, 1.0), Dilation(1, QuasiBall(1, 2.0), 2.0)):
+        assert region.box_verdict(lo, hi).tolist() == [0, 0]

@@ -22,6 +22,12 @@ The ``run_record.json`` digests (taken with ``wall_time_s`` dropped), the
 ``box-profile`` and ``nm`` cases and the stdout summary lines were
 recorded before the command frame moved into ``cli.main``: the frame
 must leave every record, data file and summary unchanged.
+
+The further ``voxelize`` cases (a half-space cap, a slab complement, a
+k = 2 quasi-ball and 32,364 cells at h = 0.1) and the 700-line ``nm``
+cases (three line blocks, k = 1 and k = 2, one and two workers) were
+recorded before voxelization skipped the cells an interval bound decides
+and before the line estimator traced whole blocks of lines at once.
 """
 
 import hashlib
@@ -125,6 +131,68 @@ GOLDEN = {
         {
             "nm.json": "a93077847720d326dc70fcc3b3fb8b2b79bf45ae4be21ab043e8ea078d4af041",
             "run_record.json": "7eea0c938e18a094af8fc64e20e817a2ffd5b6b5555fa0033e0c976f83d3defa",
+        },
+    ),
+    "voxelize-halfspace-cap": (
+        ["voxelize", "--region", "halfspace-cap:k=1,R=2.5,axis=1,offset=0.3",
+         "--h", "0.125", "--seed", "2"],
+        {
+            "voxels.txt": "4d7dfba0a644fb2c454787d48dbdb10de3b1909190322677067b5105d8bba36b",
+            "run_record.json": "6aef0c3ede6dbbac2486754afeaea366214d91047192d2b9a363d8587c657118",
+        },
+    ),
+    "voxelize-two-slab": (
+        ["voxelize", "--region", "two-slab:k=1,R=2.5,a=0.6", "--h", "0.125", "--seed", "4"],
+        {
+            "voxels.txt": "570428c79263ef038d49bd84adcafdbaed192de58e0de5048b693a267b50c696",
+            "run_record.json": "af73044e31ee95307b924fc0bf8499fae09bb54b4e77da19e9a88345ecf749fa",
+        },
+    ),
+    "voxelize-k2": (
+        ["voxelize", "--region", "quasi-ball:k=2,R=1.5", "--h", "0.25", "--seed", "6"],
+        {
+            "voxels.txt": "5ebd701cefe5bcc7afa496eb8b5c85b32f2d39550e1aeeb024e432a9f5010645",
+            "run_record.json": "73eb90ad41503cefcffed90b2cead46380a4976f8ced37b55786247b0313fa3a",
+        },
+    ),
+    "voxelize-fine": (
+        ["voxelize", "--region", "quasi-ball:k=1,R=3", "--h", "0.1",
+         "--samples-per-cell", "16", "--seed", "1"],
+        {
+            "voxels.txt": "6a774a54be713517c9d928a704a9e745f2ec40b884c66341819f2db533964410",
+            "run_record.json": "38b6fdd4319d21bcb5e589835c6b501b879453f7ac288e9a09b5670aa7b2cd77",
+        },
+    ),
+    "nm-700-w1": (
+        ["nm", "--region", "quasi-ball:k=1,R=3", "--radius", "4", "--lines", "700",
+         "--steps", "48", "--seed", "13", "--workers", "1"],
+        {
+            "nm.json": "5a014834e03932e84f529859e9bab237aaf637a66f3d382c0f24447701601ec4",
+            "run_record.json": "3451eba17fc1139720fb41baccaf3bb823406753502244ab55357076ec3f62c4",
+        },
+    ),
+    "nm-700-w2": (
+        ["nm", "--region", "quasi-ball:k=1,R=3", "--radius", "4", "--lines", "700",
+         "--steps", "48", "--seed", "13", "--workers", "2"],
+        {
+            "nm.json": "5a014834e03932e84f529859e9bab237aaf637a66f3d382c0f24447701601ec4",
+            "run_record.json": "c023882f802a2e0ac69e353c5bf42b473b3bcaca83d21c137ad29eb5d2502692",
+        },
+    ),
+    "nm-k2-700-w1": (
+        ["nm", "--region", "two-slab:k=2,R=4,a=0.5,axis=1", "--radius", "4",
+         "--lines", "700", "--steps", "40", "--seed", "17", "--workers", "1"],
+        {
+            "nm.json": "ccc316e966611b4068e87a63178b659f076740de40de89a85a3631125a9b0857",
+            "run_record.json": "b94fb21deed86671f2d033bfb30dbc0619a634714be806d5d9a73a655df52f80",
+        },
+    ),
+    "nm-k2-700-w2": (
+        ["nm", "--region", "two-slab:k=2,R=4,a=0.5,axis=1", "--radius", "4",
+         "--lines", "700", "--steps", "40", "--seed", "17", "--workers", "2"],
+        {
+            "nm.json": "ccc316e966611b4068e87a63178b659f076740de40de89a85a3631125a9b0857",
+            "run_record.json": "8fb47c6fc1bb8e3b1761745b088e6b312a773395182fe3097c1c2197d21cb972",
         },
     ),
 }
