@@ -12,10 +12,9 @@ stack with the duality bridge between distortion and integrality gaps.
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, ResourceCapError, ValidationError
-from .group import ContinuousPoint, DiscreteElement
+from .group import DiscreteElement
 
 __all__ = [
-    "ContinuousPoint",
     "ConvergenceError",
     "DiscreteElement",
     "ResourceCapError",

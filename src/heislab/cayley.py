@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, ValidationError
 from .group import DiscreteElement, identity
 from .perimeter import FiniteSet, _pack, check_key_window, element_from_row, generator_step
 
@@ -153,8 +153,10 @@ def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
     Memory is guarded level by level against the visited set and the
     next frontier, so only a ball that outgrows the cap is refused.
     """
+    if k < 1:
+        raise ValidationError("lattice rank k must be >= 1")
     if r < 0:
-        raise ValueError("radius must be >= 0")
+        raise ValidationError("radius must be >= 0")
     cap = int(mem_cap_mib * (1 << 20))
     side = _Side(k, identity(k), *_ball_window(k, r))
     for _ in range(r):

@@ -46,6 +46,7 @@ from .embeddings import (
     negative_type_with_distortion,
     path_metric,
     random_metric,
+    triangle_slacks,
 )
 from .errors import ConvergenceError, ResourceCapError, ValidationError
 from .lines import nonmonotonicity
@@ -390,11 +391,8 @@ def cmd_c1(args, out) -> tuple[dict, str]:
 def _metric_residuals(inst: Instance, d: np.ndarray) -> dict:
     # replayed feasibility of a metric certificate: worst triangle slack
     # (positive = violated) and the unit-demand normalization error
-    tri = 0.0
-    for a in range(inst.n):
-        tri = max(tri, float((d - (d[:, [a]] + d[[a], :])).max()))
     return {
-        "triangle": tri,
+        "triangle": max(0.0, float(triangle_slacks(d).max())),
         "normalization": abs(float((inst.D * d).sum()) / 2.0 - 1.0),
     }
 
@@ -582,12 +580,26 @@ def cmd_poincare(args, out) -> tuple[dict, str]:
 # -- parser -------------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (argparse exits 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="heislab",
         description="Perimeters, profiles, and cut relaxations on Heisenberg lattices.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    rank = _int_at_least(1)
 
     def add(name, fn, help_text):
         sp = sub.add_parser(name, help=help_text)
@@ -604,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     sp = add("growth", cmd_growth, "ball sizes of the word metric")
-    sp.add_argument("--k", type=int, default=1, help="lattice rank (default 1)")
-    sp.add_argument("--r-max", type=int, required=True, help="largest radius")
+    sp.add_argument("--k", type=rank, default=1, help="lattice rank (default 1)")
+    sp.add_argument("--r-max", type=_int_at_least(0), required=True, help="largest radius")
     sp.add_argument(
         "--z-powers",
         type=int,
@@ -620,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mem-cap-mib", type=float, default=4096.0)
 
     sp = add("isoperim", cmd_isoperim, "perimeter ratios of finite sets")
-    sp.add_argument("--k", type=int, default=2, help="lattice rank (default 2)")
+    sp.add_argument("--k", type=rank, default=2, help="lattice rank (default 2)")
     sp.add_argument(
         "--set",
         action="append",
@@ -637,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = add("box-profile", cmd_box_profile, "vertical profile of a coordinate box")
-    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--k", type=rank, default=2)
     sp.add_argument("--r", type=float, required=True, help="box half-width")
     sp.add_argument("--s-min", type=float, default=-2.0)
     sp.add_argument("--s-max", type=float, default=8.0)
@@ -687,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric_input(sp)
 
     sp = add("poincare", cmd_poincare, "vertical-vs-horizontal functional identities")
-    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--k", type=rank, default=2)
     sp.add_argument("--set", required=True, metavar="SPEC", help="support set spec")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--values", default="0,3", metavar="LO,HI", help="integer value range")

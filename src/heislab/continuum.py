@@ -22,7 +22,7 @@ which would all agree with that verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,6 @@ from .perimeter import FiniteSet
 from .rng import Rng, substream_seeds, uniform_matrix
 
 _BLOCK = 1 << 14
-
-
-def quasi_ball_volume(k: int, R: float) -> float:
-    """Volume of {sum|x| + sum|y| + 4 sqrt|z| <= R}."""
-    return 2 ** (2 * k - 2) * R ** (2 * k + 2) / math.factorial(2 * k + 2)
 
 
 # -- regions: vectorized membership oracles --------------------------------
@@ -144,30 +139,25 @@ class SlabComplementCap(QuasiBall):
         return np.minimum(super().box_verdict(lo, hi), side)
 
 
-@dataclass(frozen=True)
-class Dilation(Region):
-    base: Region = None
-    t: float = 1.0
-
-    def contains(self, pts):
-        q = pts.copy()
-        q[:, : 2 * self.k] /= self.t
-        q[:, 2 * self.k] /= self.t * self.t
-        return self.base.contains(q)
-
-    def bounding_box(self):
-        lo, hi = self.base.bounding_box()
-        s = np.array([self.t] * (2 * self.k) + [self.t * self.t])
-        return lo * s, hi * s
+_REGION_KINDS = {  # kind: (class, parameters after k)
+    "quasi-ball": (QuasiBall, ("R",)),
+    "box": (Box, ("r",)),
+    "halfspace-cap": (HalfSpaceCap, ("R", "axis", "offset")),
+    "two-slab": (SlabComplementCap, ("R", "a", "axis")),
+}
+_REGION_DEFAULTS = {"k": 2, "axis": 0, "offset": 0.0}
 
 
 def parse_region(spec: str) -> Region:
     """Textual region specs for the command line.
 
-    quasi-ball:k=2,R=4 | box:k=2,r=2 | halfspace-cap:k=2,R=4,axis=0
+    quasi-ball:k=2,R=4 | box:k=2,r=2 | halfspace-cap:k=2,R=4,axis=0,offset=0
     | two-slab:k=2,R=4,a=1,axis=0
     """
     name, _, rest = spec.partition(":")
+    if name not in _REGION_KINDS:
+        raise ValidationError(f"unknown region kind {name!r}")
+    cls, names = _REGION_KINDS[name]
     kv = {}
     if rest:
         for part in rest.split(","):
@@ -175,25 +165,31 @@ def parse_region(spec: str) -> Region:
             if not val:
                 raise ValidationError(f"bad region parameter {part!r}")
             kv[key.strip()] = val.strip()
-    try:
-        k = int(kv.pop("k", 2))
-        if name == "quasi-ball":
-            return QuasiBall(k, float(kv.pop("R")))
-        if name == "box":
-            return Box(k, float(kv.pop("r")))
-        if name == "halfspace-cap":
-            return HalfSpaceCap(
-                k, float(kv.pop("R")), int(kv.pop("axis", 0)), float(kv.pop("offset", 0.0))
-            )
-        if name == "two-slab":
-            return SlabComplementCap(
-                k, float(kv.pop("R")), float(kv.pop("a")), int(kv.pop("axis", 0))
-            )
-    except KeyError as exc:
-        raise ValidationError(f"region {name!r} missing parameter {exc}") from None
-    except ValueError as exc:
-        raise ValidationError(f"bad region parameter value: {exc}") from None
-    raise ValidationError(f"unknown region kind {name!r}")
+    unknown = sorted(set(kv) - {"k", *names})
+    if unknown:
+        raise ValidationError(f"unknown region parameter {unknown[0]!r} for {name!r}")
+    vals = {}
+    for key in ("k", *names):
+        if key not in kv:
+            if key not in _REGION_DEFAULTS:
+                raise ValidationError(f"region {name!r} missing parameter {key!r}")
+            vals[key] = _REGION_DEFAULTS[key]
+            continue
+        try:
+            vals[key] = int(kv[key]) if key in ("k", "axis") else float(kv[key])
+        except ValueError:
+            raise ValidationError(f"bad value {kv[key]!r} for region parameter {key}") from None
+    k = vals["k"]
+    if k < 1:
+        raise ValidationError("region parameter k must be >= 1")
+    for key in ("R", "r", "a"):
+        if key in vals:
+            require_positive(vals[key], f"region parameter {key}")
+    if not 0 <= vals.get("axis", 0) < 2 * k:
+        raise ValidationError(f"region parameter axis must be in 0..{2 * k - 1}")
+    if not math.isfinite(vals.get("offset", 0.0)):
+        raise ValidationError("region parameter offset must be finite")
+    return cls(**vals)
 
 
 # -- exact box profile -------------------------------------------------------
@@ -303,77 +299,6 @@ def mc_vertical_profile(
         sub = Rng(seed).substream(1_000_003 * si).seed
         out.append(_mc_one_scale(region, float(s), samples, sub, workers))
     return out
-
-
-def mc_scaling_pair(
-    region: Region,
-    s_values,
-    samples: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> tuple[list[ProfilePoint], list[ProfilePoint], float]:
-    """Paired-seed check of the dilation identity with t = 2.
-
-    The dilated run reuses the base run's uniforms; doubling is exact in
-    floating point, so the two profiles must satisfy
-    profile_2(s + 1) = 2^(2k+1) profile_1(s) except for rounding in the
-    volume prefactor.  Returns both profiles and the max relative error.
-    """
-    base = mc_vertical_profile(region, s_values, samples, seed, workers)
-    dil = mc_vertical_profile(
-        Dilation(region.k, region, 2.0),
-        [s + 1.0 for s in s_values],
-        samples,
-        seed,
-        workers,
-    )
-    factor = 2.0 ** (2 * region.k + 1)
-    err = 0.0
-    for a, b in zip(base, dil):
-        want = factor * a.value
-        if want != 0 or b.value != 0:
-            err = max(err, abs(b.value - want) / max(abs(want), 1e-300))
-    return base, dil, err
-
-
-@dataclass
-class ScalingCheck:
-    lhs: float  # profile of the dilated region at rho
-    rhs: float  # t^(2k+1) * profile of the base region at rho - log2 t
-    residual: float
-    stderr: float  # 0.0 on the closed-form box route
-
-
-def scaling_identity_check(
-    region: Region,
-    t: float,
-    rho: float,
-    samples: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> ScalingCheck:
-    """Residual of the dilation law at scale rho.
-
-    The law reads profile(dilate_t E)(rho) = t^(2k+1) profile(E)(rho - log2 t).
-    Origin-centered boxes evaluate both sides in closed form, leaving a
-    residual at rounding level for every t.  Any other region is sampled
-    with a shared seed, which makes the residual exactly zero when t is
-    a power of two (coordinate doubling is exact in floating point) and
-    a small multiple of stderr otherwise.
-    """
-    if t <= 0:
-        raise ValidationError("dilation factor must be positive")
-    shift = math.log2(t)
-    factor = t ** (2 * region.k + 1)
-    if isinstance(region, Box):
-        lhs = float(box_vertical_profile(region.k, t * region.r, rho))
-        rhs = factor * float(box_vertical_profile(region.k, region.r, rho - shift))
-        return ScalingCheck(lhs, rhs, abs(lhs - rhs), 0.0)
-    base = _mc_one_scale(region, rho - shift, samples, seed, workers)
-    dil = _mc_one_scale(Dilation(region.k, region, t), rho, samples, seed, workers)
-    rhs = factor * base.value
-    stderr = math.hypot(dil.stderr, factor * base.stderr)
-    return ScalingCheck(dil.value, rhs, abs(dil.value - rhs), stderr)
 
 
 # -- voxelization ------------------------------------------------------------

@@ -70,6 +70,12 @@ def parse_upper_triangles(text: str, count: int) -> list[np.ndarray]:
     return mats
 
 
+def triangle_slacks(d: np.ndarray) -> np.ndarray:
+    """Per point k, max over i, j of d[i, j] - (d[i, k] + d[k, j]); a
+    positive entry is a triangle inequality violated through k."""
+    return np.array([(d - (d[:, [k]] + d[[k], :])).max() for k in range(len(d))])
+
+
 class MetricSpace:
     """Validated symmetric distance matrix on points 0..n-1."""
 
@@ -92,9 +98,9 @@ class MetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if n > 1 and off.min() <= 0:
             raise ValidationError("distinct points must be at positive distance")
-        for k in range(n):
-            if (d - (d[:, [k]] + d[[k], :])).max() > tol * scale:
-                raise ValidationError(f"triangle inequality fails through point {k}")
+        bad = np.flatnonzero(triangle_slacks(d) > tol * scale)
+        if len(bad):
+            raise ValidationError(f"triangle inequality fails through point {bad[0]}")
         self.d = d
         self.n = n
 
@@ -117,14 +123,6 @@ class MetricSpace:
         (d,) = parse_upper_triangles(text, 1)
         return cls(d)
 
-    # -- transforms ------------------------------------------------------
-
-    def snowflake(self, eps: float) -> "MetricSpace":
-        """Raise all distances to the power 1 - eps (0 <= eps < 1)."""
-        if not 0.0 <= eps < 1.0:
-            raise ValidationError("snowflake exponent parameter must be in [0, 1)")
-        return MetricSpace(self.d ** (1.0 - eps))
-
     def restrict(self, indices) -> "MetricSpace":
         idx = np.asarray(indices, dtype=np.int64)
         return MetricSpace(self.d[np.ix_(idx, idx)])
@@ -145,18 +143,6 @@ class MetricSpace:
 
 
 # -- constructors --------------------------------------------------------
-
-
-def from_points_l1(points) -> MetricSpace:
-    pts = np.asarray(points, dtype=float)
-    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    return MetricSpace(d)
-
-
-def from_points_l2(points) -> MetricSpace:
-    pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return MetricSpace(np.sqrt((diff * diff).sum(axis=2)))
 
 
 def path_metric(n: int) -> MetricSpace:

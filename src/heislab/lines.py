@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import QuasiBall, Region
-from .errors import ValidationError, require_positive
+from .errors import ResourceCapError, ValidationError, require_positive
 from .parallel import block_map
 from .rng import substream_seeds, uniform_matrix
 
@@ -224,7 +224,7 @@ def _nm_block(payload):
     per_line = np.empty(count)
     weights: dict[int, float] = {}
     censored = runs = 0
-    step = max(1, _TRACE_POINTS // len(taus))
+    step = _TRACE_POINTS // len(taus)  # nonmonotonicity keeps it >= 1
     for a in range(0, count, step):
         in_ball, in_set = _trace_block(region, bases[a : a + step], dirs[a : a + step], R, taus)
         per_line[a : a + step] = h * _kadane_totals(in_ball, in_set)
@@ -255,6 +255,10 @@ def nonmonotonicity(
     if n_lines < 2:
         raise ValidationError("need at least two lines")
     h = R / steps
+    if 2 * math.ceil(2.0 * R / h) + 1 > _TRACE_POINTS:  # the length of _grid(R, h)
+        raise ResourceCapError(
+            f"a line grid of {steps} steps exceeds {_TRACE_POINTS} positions"
+        )
     payloads = []
     for start in range(0, n_lines, _LINE_BLOCK):
         count = min(_LINE_BLOCK, n_lines - start)

@@ -61,7 +61,8 @@ def element_from_row(k: int, row) -> DiscreteElement:
 
 
 def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
-    """Rows right-multiplied by generator j of group.generators(k).
+    """Rows right-multiplied by generator j of the 4k standard generators,
+    in the order a_1, b_1, ..., a_k, b_k, a_1^-1, b_1^-1, ..., a_k^-1, b_k^-1.
 
     a_i^s shifts x_i by s; b_i^s shifts y_i by s and w by s * x_i.
     """
@@ -156,25 +157,9 @@ class FiniteSet:
         cuts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
         return np.split(self.rows[:, 2 * self.k], cuts)
 
-    def embedded(self, k_new: int) -> "FiniteSet":
-        """The same set inside a higher-rank lattice (new coordinates 0)."""
-        if k_new < self.k:
-            raise ValidationError("can only embed into larger rank")
-        k, r = self.k, self.rows
-        pad = np.zeros((self.size, k_new - k), dtype=np.int64)
-        rows = np.hstack([r[:, :k], pad, r[:, k : 2 * k], pad, r[:, 2 * k :]])
-        return FiniteSet(k_new, rows)
-
     def to_lines(self):
         k = self.k
         return (row_text(k, row) for row in self.rows.tolist())
-
-    @staticmethod
-    def from_lines(lines) -> "FiniteSet":
-        els = [DiscreteElement.from_text(ln) for ln in lines if ln.strip()]
-        if not els:
-            raise ValidationError("no elements in input")
-        return FiniteSet(els[0].k, els)
 
 
 def horizontal_perimeter(S: FiniteSet) -> int:
@@ -183,9 +168,6 @@ def horizontal_perimeter(S: FiniteSet) -> int:
         int(np.count_nonzero(S.locate(generator_step(S.k, S.rows, j)) < 0))
         for j in range(4 * S.k)
     )
-
-
-_BITSET_SPAN_CAP = 1 << 16
 
 
 @dataclass
@@ -211,22 +193,18 @@ class VerticalSpectrum:
         return l2_with_tail(self.head, 2 * self.size)
 
 
-def _column_counts(ws: np.ndarray, T0: int) -> np.ndarray:
-    """Per-column |{w in S: w+t not in S}| + |{w: w-t not in S}| for t=1..span."""
+def _column_counts(ws: np.ndarray) -> np.ndarray:
+    """Per-column |{w in S: w+t not in S}| + |{w: w-t not in S}| for t=1..span,
+    from the overlap of the column's bitset with its shifts."""
     span = int(ws[-1] - ws[0])
     cnt = len(ws)
     out = np.empty(span, dtype=np.int64)
-    if span <= _BITSET_SPAN_CAP:
-        bits = 0
-        base = int(ws[0])
-        for w in ws.tolist():
-            bits |= 1 << (w - base)
-        for t in range(1, span + 1):
-            out[t - 1] = 2 * (cnt - (bits & (bits >> t)).bit_count())
-    else:
-        for t in range(1, span + 1):
-            m = np.intersect1d(ws + t, ws, assume_unique=True).size
-            out[t - 1] = 2 * (cnt - m)
+    bits = 0
+    base = int(ws[0])
+    for w in ws.tolist():
+        bits |= 1 << (w - base)
+    for t in range(1, span + 1):
+        out[t - 1] = 2 * (cnt - (bits & (bits >> t)).bit_count())
     return out
 
 
@@ -238,7 +216,7 @@ def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
     for ws in cols:
         span = int(ws[-1] - ws[0])
         if span > 0:
-            head[:span] += _column_counts(ws, T0)
+            head[:span] += _column_counts(ws)
         if span < T0:
             plateau[span] += 2 * len(ws)
     if T0 > 0:

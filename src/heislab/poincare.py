@@ -198,22 +198,6 @@ def _level_rows(phi: LatticeFunction, u: int) -> np.ndarray:
     return phi.S.rows[phi.vals < u if u <= 0 else phi.vals >= u]
 
 
-def sublevel_set(phi: LatticeFunction, u: int) -> FiniteSet:
-    """Finite representative of the sublevel set {phi < u}.
-
-    For u <= 0 this is literally {phi < u}; for u > 0 that set is
-    co-finite, so the finite complement {phi >= u} is returned instead.
-    Both have the same boundary pairs, which is what level
-    decompositions consume.
-    """
-    if not phi.is_integer_valued():
-        raise ValidationError("sublevel sets require integer-valued phi")
-    rows = _level_rows(phi, u)
-    if len(rows) == 0:
-        raise ValidationError("level set is empty")
-    return FiniteSet(phi.k, rows)
-
-
 def coarea(phi: LatticeFunction) -> CoareaReport:
     """Sublevel decomposition of both sides for integer-valued phi."""
     if not phi.is_integer_valued():
@@ -302,26 +286,3 @@ def local_poincare(
     for j in range(4 * k):
         rhs += float(np.abs(phi.at(generator_step(k, rows, j)) - vh).sum())
     return LocalSides(lhs, rhs, n, alpha)
-
-
-def coset_partition(A, S: FiniteSet) -> dict:
-    """Partition S by cosets of the subgroup generated by the generator
-    pairs {a_i, b_i : i in A} (1-based indices).
-
-    Two elements share a piece iff their coordinates agree outside A;
-    the central direction always lies in the subgroup, so w never enters
-    the invariant.  Keys are ((x_j)_{j not in A}, (y_j)_{j not in A}).
-    """
-    k = S.k
-    idx = sorted({int(i) for i in A})
-    if not idx or idx[0] < 1 or idx[-1] > k:
-        raise ValidationError("A must be a nonempty subset of 1..k")
-    outside = [j for j in range(k) if (j + 1) not in idx]
-    m = len(outside)
-    labels = S.rows[:, outside + [k + j for j in outside]].tolist()
-    pieces: dict = {}
-    for i, lab in enumerate(labels):
-        pieces.setdefault(tuple(lab), []).append(i)
-    return {
-        (lab[:m], lab[m:]): FiniteSet(k, S.rows[mem]) for lab, mem in pieces.items()
-    }

@@ -14,7 +14,6 @@ import hashlib
 import time
 
 from . import __version__
-from .errors import ValidationError
 
 
 def format_value(v) -> str:
@@ -30,32 +29,6 @@ def canonical_config(command: str, params: dict) -> str:
     for key in sorted(params):
         lines.append(f"{key}={format_value(params[key])}")
     return "\n".join(lines) + "\n"
-
-
-def parse_config(text: str) -> tuple[str, dict]:
-    """Parse canonical key=value text back to (command, params).
-
-    '#' starts a comment and blank lines are skipped.  Values come back
-    as strings, which is their canonical form, so parse and re-serialize
-    is an exact round trip on comment-free canonical text.
-    """
-    command = None
-    params: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ValidationError(f"config line without '=': {raw!r}")
-        key, val = key.strip(), val.strip()
-        if key == "command":
-            command = val
-        else:
-            params[key] = val
-    if command is None:
-        raise ValidationError("config is missing the command line")
-    return command, params
 
 
 def config_hash(text: str) -> str:

@@ -98,18 +98,6 @@ class Rng:
         self.counter += n
         return (block >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on paired uniforms."""
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        u1 = 1.0 - u[:m]  # avoid log(0)
-        u2 = u[m:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return out[:n]
-
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on [0, bound), by 53-bit scaling."""
         if bound <= 0 or bound > (1 << 50):

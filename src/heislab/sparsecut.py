@@ -86,6 +86,8 @@ def random_instance(
     n: int, seed: int, cap_density: float = 0.7, dem_density: float = 0.5
 ) -> Instance:
     """Random instance; entry present with the given density, weight in (0,1)."""
+    if n < 2:
+        raise ValidationError("instance needs at least two points")
     rng = Rng(seed)
     C = np.zeros((n, n))
     D = np.zeros((n, n))

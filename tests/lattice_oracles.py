@@ -1,9 +1,11 @@
-"""Independent boundary counts and ball memberships, used as oracles.
+"""Independent boundary counts and ball memberships, used as oracles,
+with the lattice constructions that only the tests use.
 
 Each count works member by member on coordinate tuples, apart from the
 kernel in ``heislab.perimeter`` or ``heislab.poincare`` that it checks;
 ball membership is decided one row at a time, apart from the shared
-search of ``heislab.cayley``.
+search of ``heislab.cayley``.  The standard generators are built as
+``DiscreteElement``s, apart from the row action ``generator_step``.
 """
 
 from math import fsum
@@ -12,8 +14,98 @@ import numpy as np
 
 from heislab.cayley import word_distance, word_upper_bound
 from heislab.errors import ValidationError
-from heislab.group import DiscreteElement, generators
-from heislab.perimeter import element_from_row
+from heislab.group import DiscreteElement
+from heislab.perimeter import FiniteSet, element_from_row
+
+
+def _unit(k: int, i: int, sign: int) -> tuple:
+    e = [0] * k
+    e[i] = sign
+    return tuple(e)
+
+
+def generators(k: int) -> tuple:
+    """The 4k standard generators, in the canonical order
+
+    a_1, b_1, ..., a_k, b_k, a_1^-1, b_1^-1, ..., a_k^-1, b_k^-1.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    zero = (0,) * k
+    gens = []
+    for sign in (1, -1):
+        for i in range(k):
+            gens.append(DiscreteElement(k, _unit(k, i, sign), zero, 0))
+            gens.append(DiscreteElement(k, zero, _unit(k, i, sign), 0))
+    return tuple(gens)
+
+
+def element_from_text(text: str) -> DiscreteElement:
+    """Inverse of DiscreteElement.to_text."""
+    parts = text.strip().split(";")
+    if len(parts) != 4:
+        raise ValueError(f"malformed element text: {text!r}")
+    k = int(parts[0])
+    x = tuple(int(v) for v in parts[1].split(",")) if parts[1] else ()
+    y = tuple(int(v) for v in parts[2].split(",")) if parts[2] else ()
+    return DiscreteElement(k, x, y, int(parts[3]))
+
+
+def set_from_lines(lines) -> FiniteSet:
+    """Inverse of FiniteSet.to_lines."""
+    els = [element_from_text(ln) for ln in lines if ln.strip()]
+    if not els:
+        raise ValidationError("no elements in input")
+    return FiniteSet(els[0].k, els)
+
+
+def embedded(S: FiniteSet, k_new: int) -> FiniteSet:
+    """S inside a higher-rank lattice (new coordinates 0)."""
+    if k_new < S.k:
+        raise ValidationError("can only embed into larger rank")
+    k, r = S.k, S.rows
+    pad = np.zeros((S.size, k_new - k), dtype=np.int64)
+    rows = np.hstack([r[:, :k], pad, r[:, k : 2 * k], pad, r[:, 2 * k :]])
+    return FiniteSet(k_new, rows)
+
+
+def sublevel_set(phi, u: int) -> FiniteSet:
+    """Finite representative of the sublevel set {phi < u}.
+
+    For u <= 0 this is literally {phi < u}; for u > 0 that set is
+    co-finite, so the finite complement {phi >= u} is returned instead.
+    Both have the same boundary pairs, which is what level
+    decompositions consume.
+    """
+    if not phi.is_integer_valued():
+        raise ValidationError("sublevel sets require integer-valued phi")
+    rows = phi.S.rows[phi.vals < u if u <= 0 else phi.vals >= u]
+    if len(rows) == 0:
+        raise ValidationError("level set is empty")
+    return FiniteSet(phi.k, rows)
+
+
+def coset_partition(A, S: FiniteSet) -> dict:
+    """Partition S by cosets of the subgroup generated by the generator
+    pairs {a_i, b_i : i in A} (1-based indices).
+
+    Two elements share a piece iff their coordinates agree outside A;
+    the central direction always lies in the subgroup, so w never enters
+    the invariant.  Keys are ((x_j)_{j not in A}, (y_j)_{j not in A}).
+    """
+    k = S.k
+    idx = sorted({int(i) for i in A})
+    if not idx or idx[0] < 1 or idx[-1] > k:
+        raise ValidationError("A must be a nonempty subset of 1..k")
+    outside = [j for j in range(k) if (j + 1) not in idx]
+    m = len(outside)
+    labels = S.rows[:, outside + [k + j for j in outside]].tolist()
+    pieces: dict = {}
+    for i, lab in enumerate(labels):
+        pieces.setdefault(tuple(lab), []).append(i)
+    return {
+        (lab[:m], lab[m:]): FiniteSet(k, S.rows[mem]) for lab, mem in pieces.items()
+    }
 
 
 def vertical_t_count(S, t: int) -> int:

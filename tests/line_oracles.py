@@ -15,6 +15,19 @@ from heislab.lines import HorizontalLine, IntervalHistogram
 from heislab.rng import Rng
 
 
+def normals(rng: Rng, n: int) -> np.ndarray:
+    """n standard normals via Box-Muller on paired uniforms of rng."""
+    m = (n + 1) // 2
+    u = rng.uniforms(2 * m)
+    u1 = 1.0 - u[:m]  # avoid log(0)
+    u2 = u[m:]
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(2 * m)
+    out[0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:n]
+
+
 def lines_at(k: int, R: float, count: int, seed: int, start: int) -> list:
     """Lines start..start+count-1, each from its own Rng substream."""
     out = []
@@ -31,7 +44,7 @@ def lines_at(k: int, R: float, count: int, seed: int, start: int) -> list:
         base[:m] = rho * signs * (expo / g1)
         zmax = ((R - rho) / 4.0) ** 2
         base[m] = zmax * (2.0 * u[2 * m + 3] - 1.0)
-        g = rng.normals(m)
+        g = normals(rng, m)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:  # unreachable in practice, keep the line valid
             g = np.zeros(m)

@@ -23,7 +23,6 @@ from heislab.continuum import (
     Box,
     box_profile_knee,
     box_vertical_profile,
-    mc_scaling_pair,
     mc_vertical_profile,
 )
 from heislab.embeddings import (
@@ -33,9 +32,9 @@ from heislab.embeddings import (
     path_metric,
     random_metric,
 )
-from heislab.group import DiscreteElement, central, generators, identity
+from heislab.group import DiscreteElement, central, identity
 from heislab.lines import nonmonotonicity
-from heislab.continuum import Dilation, HalfSpaceCap, SlabComplementCap
+from heislab.continuum import HalfSpaceCap, SlabComplementCap
 from heislab.perimeter import (
     column_set,
     default_corpus,
@@ -47,7 +46,8 @@ from heislab.perimeter import (
 from heislab.poincare import LatticeFunction, coarea, poincare_sides
 from heislab.rng import Rng
 from heislab.sparsecut import duality_harness, gl_sdp, lp_relaxation, opt_bruteforce, random_instance
-from lattice_oracles import vertical_t_count, vertical_t_count_direct
+from continuum_oracles import Dilation, scaling_check
+from lattice_oracles import generators, vertical_t_count, vertical_t_count_direct
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +208,10 @@ def test_box_profile_exactness_and_sampling():
     for p, want in zip(pts, exact):
         assert abs(p.value - want) <= 3.0 * p.stderr
 
-    _, _, residual = mc_scaling_pair(Box(1, 1.25), [0.0, 1.0, 2.0], samples=50_000, seed=7)
-    assert residual <= 1e-12
+    checks = scaling_check(
+        Box(1, 1.25), 2.0, [1.0, 2.0, 3.0], samples=50_000, seed=7, sampled=True
+    )
+    assert max(c.relative for c in checks) <= 1e-12
     assert time.monotonic() - t0 < 60.0
 
 

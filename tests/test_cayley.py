@@ -14,7 +14,8 @@ from heislab.cayley import (
     z_power_distance,
 )
 from heislab.errors import ResourceCapError
-from heislab.group import DiscreteElement, central, generators, identity
+from heislab.group import DiscreteElement, central, identity
+from lattice_oracles import generators
 
 
 def brute_ball(k, r):

@@ -7,12 +7,33 @@ import pytest
 from heislab import cayley, cli, parallel, poincare
 from heislab.cli import build_parser, main
 from heislab.errors import ValidationError
-from heislab.records import (
-    canonical_config,
-    config_hash,
-    format_value,
-    parse_config,
-)
+from heislab.records import canonical_config, config_hash, format_value
+
+
+def parse_config(text: str) -> tuple[str, dict]:
+    """Parse canonical key=value text back to (command, params).
+
+    '#' starts a comment and blank lines are skipped.  Values come back
+    as strings, which is their canonical form, so parse and re-serialize
+    is an exact round trip on comment-free canonical text.
+    """
+    command = None
+    params: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ValidationError(f"config line without '=': {raw!r}")
+        key, val = key.strip(), val.strip()
+        if key == "command":
+            command = val
+        else:
+            params[key] = val
+    if command is None:
+        raise ValidationError("config is missing the command line")
+    return command, params
 
 
 def read_record(out_dir):
@@ -269,6 +290,7 @@ def test_bad_region_exit_code(tmp_path):
 
 
 NM = ["nm", "--region", "quasi-ball:k=1,R=3"]
+NM4 = ["--radius", "2", "--lines", "4"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -283,15 +305,64 @@ NM = ["nm", "--region", "quasi-ball:k=1,R=3"]
         (["box-profile", "--r", "-2"], "box half-width must be positive and finite"),
         (["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "nan"],
          "voxel scale must be positive and finite"),
+        (["nm", "--region", "quasi-ball:k=1,R=-3"] + NM4,
+         "region parameter R must be positive and finite"),
+        (["voxelize", "--region", "quasi-ball:k=1,R=nan", "--h", "0.5"],
+         "region parameter R must be positive and finite"),
+        (["voxelize", "--region", "box:k=1,r=0", "--h", "0.5"],
+         "region parameter r must be positive and finite"),
+        (["nm", "--region", "two-slab:k=1,R=4,a=-0.5"] + NM4,
+         "region parameter a must be positive and finite"),
+        (["nm", "--region", "halfspace-cap:k=1,R=4,offset=inf"] + NM4,
+         "region parameter offset must be finite"),
+        (["nm", "--region", "halfspace-cap:k=1,R=4,axis=7"] + NM4,
+         "region parameter axis must be in 0..1"),
+        (["nm", "--region", "two-slab:k=2,R=4,a=0.5,axis=-1"] + NM4,
+         "region parameter axis must be in 0..3"),
+        (["nm", "--region", "quasi-ball:k=0,R=2"] + NM4, "region parameter k must be >= 1"),
+        (["nm", "--region", "quasi-ball:k=1,R=2,radius=3"] + NM4,
+         "unknown region parameter 'radius'"),
+        (["c1", "--demo", "ball:0,1"], "lattice rank k must be >= 1"),
+        (["sparsest-cut", "--random", "1,3"], "instance needs at least two points"),
     ],
     ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
-         "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan"],
+         "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan",
+         "region-R-negative", "region-R-nan", "region-r-zero", "region-a-negative",
+         "region-offset-inf", "region-axis-7", "region-axis-negative", "region-k-0",
+         "region-unknown-key", "c1-demo-rank-0", "sparsest-one-point"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["growth", "--k", "0", "--r-max", "2"], "--k"),
+        (["isoperim", "--k", "-1", "--set", "box(2,2,2)"], "--k"),
+        (["box-profile", "--k", "0", "--r", "1"], "--k"),
+        (["poincare", "--k", "-2", "--set", "box(2,2,2)"], "--k"),
+        (["growth", "--r-max", "-1"], "--r-max"),
+    ],
+    ids=["growth-k-0", "isoperim-k-negative", "box-profile-k-0", "poincare-k-negative",
+         "growth-r-max-negative"],
+)
+def test_bad_ranks_exit_2(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_nm_steps_over_the_trace_budget_exit_3(tmp_path, capsys):
+    # 4 * 10^8 + 1 grid positions per line: refused before any is allocated
+    argv = NM + ["--radius", "2", "--steps", "100000000", "--lines", "4"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 3
+    assert "positions" in capsys.readouterr().err
 
 
 def test_growth_under_mem_cap(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from continuum_oracles import Dilation, quasi_ball_volume, scaling_check
 from heislab.continuum import (
     Box,
-    Dilation,
     HalfSpaceCap,
     QuasiBall,
     SlabComplementCap,
@@ -17,12 +17,9 @@ from heislab.continuum import (
     box_profile_knee,
     box_profile_l2,
     box_vertical_profile,
-    mc_scaling_pair,
     mc_vertical_profile,
     parse_region,
     profile_l2_norm,
-    quasi_ball_volume,
-    scaling_identity_check,
     voxelize,
 )
 from heislab.errors import ResourceCapError, ValidationError
@@ -130,8 +127,8 @@ def test_mc_profile_worker_independent():
 
 def test_scaling_identity_exact():
     region = Box(1, 1.25)
-    _, _, err = mc_scaling_pair(region, [0.0, 1.0, 2.0], samples=20_000, seed=1)
-    assert err <= 1e-12
+    checks = scaling_check(region, 2.0, [1.0, 2.0, 3.0], samples=20_000, seed=1, sampled=True)
+    assert max(c.relative for c in checks) <= 1e-12
 
 
 def test_voxelize_small_ball():
@@ -167,19 +164,19 @@ def test_scaling_identity_box_exact_any_factor():
     # both sides in closed form: the residual is pure rounding at every t
     for t in (1.0, 2.0, 3.7, 0.4):
         for rho in (-1.0, 0.5, 2.0, 4.0):
-            chk = scaling_identity_check(Box(1, 1.5), t, rho)
+            (chk,) = scaling_check(Box(1, 1.5), t, [rho])
             assert chk.stderr == 0.0
             assert chk.residual <= 1e-12 * max(1.0, abs(chk.rhs))
     with pytest.raises(ValidationError):
-        scaling_identity_check(Box(1, 1.0), 0.0, 1.0)
+        scaling_check(Box(1, 1.0), 0.0, [1.0])
 
 
 def test_scaling_identity_mc_paired():
     # power-of-two factors reuse the same uniforms: the residual vanishes
-    chk = scaling_identity_check(QuasiBall(1, 2.0), 2.0, 1.5, samples=4000, seed=7)
+    (chk,) = scaling_check(QuasiBall(1, 2.0), 2.0, [1.5], samples=4000, seed=7)
     assert chk.residual == 0.0
     # other factors agree within a few standard errors
-    chk = scaling_identity_check(QuasiBall(1, 2.0), 1.5, 1.5, samples=40_000, seed=7)
+    (chk,) = scaling_check(QuasiBall(1, 2.0), 1.5, [1.5], samples=40_000, seed=7)
     assert chk.residual <= 4.0 * max(chk.stderr, 1e-12)
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import line_oracles
 from heislab import lines
-from heislab.continuum import Box, Dilation, HalfSpaceCap, QuasiBall, SlabComplementCap
+from continuum_oracles import Dilation
+from heislab.continuum import Box, HalfSpaceCap, QuasiBall, SlabComplementCap
 from heislab.lines import (
     HorizontalLine,
     _kadane_totals,

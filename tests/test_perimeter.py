@@ -23,7 +23,9 @@ from heislab.perimeter import (
     vertical_spectrum,
 )
 from lattice_oracles import (
+    embedded,
     horizontal_perimeter_direct,
+    set_from_lines,
     vertical_t_count,
     vertical_t_count_direct,
 )
@@ -45,7 +47,7 @@ def test_finite_set_basics():
 
 def test_lines_roundtrip():
     S = random_blob(2, 40, 5)
-    back = FiniteSet.from_lines(list(S.to_lines()))
+    back = set_from_lines(list(S.to_lines()))
     assert back == S
 
 
@@ -125,6 +127,17 @@ def test_spectrum_head_matches_counts(args):
     assert spec.count(spec.T0 + 7) == 2 * S.size
 
 
+def test_spectrum_at_spans_above_two_to_the_sixteen():
+    # a sparse column whose span 70,001 sets T0, and a short column that
+    # reaches its plateau early
+    column = [(0, 0, w) for w in (0, 1, 3, 40_000, 70_001)]
+    S = FiniteSet(1, column + [(1, 0, 0), (1, 0, 5)])
+    spec = vertical_spectrum(S)
+    assert spec.T0 == 70_001
+    for t in range(1, spec.T0 + 2):
+        assert spec.count(t) == vertical_t_count_direct(S, t)
+
+
 def test_singleton_closed_form():
     S = column_set(1, 1)
     v, err = vertical_perimeter(S)
@@ -191,7 +204,7 @@ def test_default_corpus_shape():
 
 def test_embedded_keeps_counts():
     S = random_blob(1, 30, 11)
-    E = S.embedded(2)
+    E = embedded(S, 2)
     assert E.size == S.size
     assert horizontal_perimeter(E) == horizontal_perimeter(S) + 4 * S.size
     va, _ = vertical_perimeter(S)

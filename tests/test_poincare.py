@@ -19,13 +19,16 @@ from heislab.poincare import (
     _rhs_window,
     _vertical_sums,
     coarea,
-    coset_partition,
     local_poincare,
     poincare_rhs,
     poincare_sides,
-    sublevel_set,
 )
-from lattice_oracles import in_ball_per_row, vertical_sums_direct
+from lattice_oracles import (
+    coset_partition,
+    in_ball_per_row,
+    sublevel_set,
+    vertical_sums_direct,
+)
 
 CASES = st.tuples(
     st.integers(min_value=1, max_value=2),

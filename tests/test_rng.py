@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislab.rng import Rng, substream_seeds, uniform_matrix
+from line_oracles import normals
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -44,7 +45,7 @@ def test_integers_bounds(seed):
 
 
 def test_normals_moments():
-    z = Rng(5).normals(200_000)
+    z = normals(Rng(5), 200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
 
