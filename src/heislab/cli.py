@@ -4,11 +4,12 @@ Every subcommand computes one study artifact into ``--out-dir``.  All
 numeric output is formatted so that reruns with the same flags produce
 byte-identical files; ``run_record.json`` differs only in ``wall_time_s``.
 
-A command is ``cmd_*(args, out) -> (params, summary)``: it writes its
-data files through ``out`` and returns its configuration and a one-line
-summary.  The frame in ``main`` does the rest: it pins the BLAS pool to
-one thread, creates ``out``, writes ``run_record.json`` from params and
-the names ``out`` wrote, prints the summary and sets the exit code.
+A command is ``cmd_*(args, out) -> summary``: it writes its data files
+through ``out``, notes its input in ``out.source`` if it reads one, and
+returns a one-line summary.  The frame in ``main`` does the rest: it pins
+the BLAS pool to one thread, creates ``out``, writes ``run_record.json``
+from the parsed flags and the names ``out`` wrote, prints the summary and
+sets the exit code.
 
 Exit codes: 0 success, 2 bad input, 3 resource cap exceeded,
 4 iterative solver failed to converge (results are still written).
@@ -48,7 +49,7 @@ from .embeddings import (
     random_metric,
     triangle_slacks,
 )
-from .errors import ConvergenceError, ResourceCapError, ValidationError
+from .errors import ConvergenceError, ResourceCapError, ValidationError, require_positive
 from .lines import nonmonotonicity
 from .parallel import one_blas_thread, shared_pool
 from .perimeter import (
@@ -80,6 +81,7 @@ class _OutDir:
         self.path.mkdir(parents=True, exist_ok=True)
         self.names: list[str] = []
         self.unconverged: str | None = None  # exit 4 once everything is written
+        self.source: str | None = None  # the input, for commands that read one
 
     def lines(self, name: str, lines) -> None:
         self.names.append(name)
@@ -102,7 +104,7 @@ class _OutDir:
 # -- growth ------------------------------------------------------------------
 
 
-def cmd_growth(args, out) -> tuple[dict, str]:
+def cmd_growth(args, out) -> str:
     b = ball(args.k, args.r_max, args.mem_cap_mib)
     rows = growth_table(b)
     out.csv(
@@ -117,15 +119,8 @@ def cmd_growth(args, out) -> tuple[dict, str]:
         out.csv("z_powers.csv", "t,distance", zrows)
     if args.dump_ball:
         out.lines("ball.txt", (f"{el.to_text()} {dist}" for el, dist in b.elements()))
-    params = {
-        "k": args.k,
-        "r_max": args.r_max,
-        "z_powers": args.z_powers,
-        "dump_ball": args.dump_ball,
-        "mem_cap_mib": args.mem_cap_mib,
-    }
     r, count, norm = rows[-1]
-    return params, f"growth: |B_{r}| = {count} at k={args.k}, normalized {norm:.6g}"
+    return f"growth: |B_{r}| = {count} at k={args.k}, normalized {norm:.6g}"
 
 
 # -- isoperim ----------------------------------------------------------------
@@ -138,7 +133,7 @@ def _lq_head(spec, q: float) -> float:
     return total ** (1.0 / q)
 
 
-def cmd_isoperim(args, out) -> tuple[dict, str]:
+def cmd_isoperim(args, out) -> str:
     entries = []
     if args.corpus:
         for set_id, spec, S in default_corpus(args.k, args.seed):
@@ -180,14 +175,7 @@ def cmd_isoperim(args, out) -> tuple[dict, str]:
         srows.append(["tail", _F(vspec.tail_sq)])
         out.csv("spectrum.csv", "t,count", srows)
 
-    params = {
-        "k": args.k,
-        "seed": args.seed,
-        "corpus": args.corpus,
-        "set": ";".join(args.set or []),
-        "lq": "" if args.lq is None else args.lq,
-    }
-    return params, (
+    return (
         f"isoperim: {len(entries)} set(s), max ratio {worst[0]:.6g} "
         f"at {worst[1]} = {worst[2]}"
     )
@@ -219,7 +207,9 @@ def _plot_script(series: list[tuple[str, str]]) -> str:
     return _PLOT_TEMPLATE.format(series=", \\\n     ".join(parts))
 
 
-def cmd_box_profile(args, out) -> tuple[dict, str]:
+def cmd_box_profile(args, out) -> str:
+    if not -np.inf < args.s_min < args.s_max < np.inf:
+        raise ValidationError("--s-min and --s-max must be finite, with --s-min below --s-max")
     grid = np.linspace(args.s_min, args.s_max, args.steps)
     exact = box_vertical_profile(args.k, args.r, grid)
     rows = [[_F(float(s)), _F(float(v)), "0"] for s, v in zip(grid, exact)]
@@ -233,19 +223,9 @@ def cmd_box_profile(args, out) -> tuple[dict, str]:
         out.csv("profile_mc.csv", "s,value,stderr", mrows)
         series.append(("profile_mc.csv", "monte carlo"))
     out.text("plot.gp", _plot_script(series))
-    params = {
-        "k": args.k,
-        "r": args.r,
-        "s_min": args.s_min,
-        "s_max": args.s_max,
-        "steps": args.steps,
-        "mc_samples": args.mc_samples,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
     l2_closed = box_profile_l2(args.k, args.r)
     l2_grid = profile_l2_norm(grid, np.asarray(exact, dtype=float))
-    return params, (
+    return (
         f"box-profile: knee at s = {box_profile_knee(args.r):.6g}, "
         f"l2 closed form {l2_closed:.6g}, grid quadrature {l2_grid:.6g}"
     )
@@ -254,7 +234,7 @@ def cmd_box_profile(args, out) -> tuple[dict, str]:
 # -- nm ------------------------------------------------------------------------
 
 
-def cmd_nm(args, out) -> tuple[dict, str]:
+def cmd_nm(args, out) -> str:
     region = parse_region(args.region)
     rep = nonmonotonicity(
         region, args.radius, args.lines, args.seed, args.steps, args.workers
@@ -278,34 +258,19 @@ def cmd_nm(args, out) -> tuple[dict, str]:
         "runs": hist.runs,
     }
     out.json("nm.json", obj)
-    params = {
-        "region": args.region,
-        "radius": args.radius,
-        "lines": args.lines,
-        "steps": args.steps,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
     ztext = "n/a" if z is None else f"{z:.2f}"
-    return params, f"nm: value {rep.value:.6g} +- {rep.stderr:.2g} (z = {ztext})"
+    return f"nm: value {rep.value:.6g} +- {rep.stderr:.2g} (z = {ztext})"
 
 
 # -- voxelize --------------------------------------------------------------------
 
 
-def cmd_voxelize(args, out) -> tuple[dict, str]:
+def cmd_voxelize(args, out) -> str:
     region = parse_region(args.region)
     S = voxelize(region, args.h, args.samples_per_cell, args.seed, args.workers)
     out.lines("voxels.txt", S.to_lines())
-    params = {
-        "region": args.region,
-        "h": args.h,
-        "samples_per_cell": args.samples_per_cell,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
     vol = S.size * args.h ** (2 * region.k + 2)
-    return params, f"voxelize: {S.size} cells at h = {args.h:g}, volume estimate {vol:.6g}"
+    return f"voxelize: {S.size} cells at h = {args.h:g}, volume estimate {vol:.6g}"
 
 
 # -- metric inputs -----------------------------------------------------------------
@@ -355,19 +320,19 @@ def _load_metric(args) -> tuple[MetricSpace, str]:
 # -- c1 -----------------------------------------------------------------------------
 
 
-def cmd_c1(args, out) -> tuple[dict, str]:
-    ms, source = _load_metric(args)
+def cmd_c1(args, out) -> str:
+    ms, out.source = _load_metric(args)
     if args.subsample is not None:
         if args.subsample < ms.n:
             _, ms = ms.subsample_farthest(args.subsample)
-        source += f"|subsample:{args.subsample}"
+        out.source += f"|subsample:{args.subsample}"
     refine = {"auto": None, "on": True, "off": False}[args.refine]
     rep = c1_distortion(ms, refine=refine)
     lo, hi = rep.replay(ms) if ms.n > 1 else (1.0, 1.0)
     nt = is_negative_type(ms)
     obj = {
         "kind": "c1_distortion",
-        "source": source,
+        "source": out.source,
         "n": ms.n,
         "value": rep.distortion,
         "exact": rep.exact,
@@ -380,9 +345,8 @@ def cmd_c1(args, out) -> tuple[dict, str]:
         "replay_max_ratio": hi,
     }
     out.json("c1.json", obj)
-    params = {"source": source, "refine": args.refine}
     tag = "exact" if rep.exact else "float"
-    return params, f"c1: distortion {rep.distortion:.9g} ({tag}), {len(rep.cuts.entries)} cuts"
+    return f"c1: distortion {rep.distortion:.9g} ({tag}), {len(rep.cuts.entries)} cuts"
 
 
 # -- sparsest-cut --------------------------------------------------------------------
@@ -459,9 +423,9 @@ def _load_instance(args) -> tuple[Instance, str]:
     return random_instance(n, seed), f"random:{n},{seed}"
 
 
-def cmd_sparsest_cut(args, out) -> tuple[dict, str]:
-    inst, source = _load_instance(args)
-    obj = {"kind": "sparsest_cut", "source": source, "n": inst.n}
+def cmd_sparsest_cut(args, out) -> str:
+    inst, out.source = _load_instance(args)
+    obj = {"kind": "sparsest_cut", "source": out.source, "n": inst.n}
     want = ("lp", "sdp", "opt") if args.solver == "all" else (args.solver,)
     if "opt" in want:
         obj["opt"] = _opt_block(inst, opt_bruteforce(inst))
@@ -478,22 +442,21 @@ def cmd_sparsest_cut(args, out) -> tuple[dict, str]:
 
     out.text("instance.txt", inst.to_text())
     out.json("sparsest_cut.json", obj)
-    params = {"source": source, "solver": args.solver, "sdp_max_iter": args.sdp_max_iter}
     parts = [
         f"{key} {obj[key]['value']:.9g}" for key in ("opt", "lp", "sdp") if key in obj
     ]
-    return params, f"sparsest-cut: n = {inst.n}, " + ", ".join(parts)
+    return f"sparsest-cut: n = {inst.n}, " + ", ".join(parts)
 
 
 # -- duality ---------------------------------------------------------------------------
 
 
-def cmd_duality(args, out) -> tuple[dict, str]:
-    ms, source = _load_metric(args)
+def cmd_duality(args, out) -> str:
+    ms, out.source = _load_metric(args)
     rep = duality_harness(ms)
     obj = {
         "kind": "duality_harness",
-        "source": source,
+        "source": out.source,
         "n": ms.n,
         "distortion": rep.distortion,
         "opt": _opt_block(rep.instance, rep.opt),
@@ -505,7 +468,7 @@ def cmd_duality(args, out) -> tuple[dict, str]:
     out.text("instance.txt", rep.instance.to_text())
     out.json("duality.json", obj)
     _flag_unconverged(out, rep.sdp)
-    return {"source": source}, (
+    return (
         f"duality: distortion {rep.distortion:.9g}, cut optimum {rep.opt.value:.9g}, "
         f"certified gap >= {rep.gap_lower_bound:.9g}"
     )
@@ -514,7 +477,7 @@ def cmd_duality(args, out) -> tuple[dict, str]:
 # -- poincare ----------------------------------------------------------------------------
 
 
-def cmd_poincare(args, out) -> tuple[dict, str]:
+def cmd_poincare(args, out) -> str:
     S = parse_set_spec(args.k, args.set, seed=args.seed)
     # the indicator's sides are the perimeters: lhs = |bd_v S|, rhs = 2 |bd_h S|
     h = horizontal_perimeter(S)
@@ -562,16 +525,7 @@ def cmd_poincare(args, out) -> tuple[dict, str]:
         loc = local_poincare(phi, args.local, args.alpha, args.mem_cap_mib)
         obj["local"] = {"n": loc.n, "alpha": loc.alpha, "lhs": loc.lhs, "rhs": loc.rhs}
     out.json("poincare.json", obj)
-    params = {
-        "k": args.k,
-        "set": args.set,
-        "seed": args.seed,
-        "values": args.values,
-        "local": "" if args.local is None else args.local,
-        "alpha": args.alpha,
-        "mem_cap_mib": args.mem_cap_mib,
-    }
-    return params, (
+    return (
         f"poincare: indicator lhs {v:.6g} vs rhs {float(2 * h):.6g}, "
         f"function lhs {fun.lhs:.6g} vs rhs {fun.rhs:.6g}"
     )
@@ -593,13 +547,25 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive(text: str) -> float:
+    """argparse type: a positive finite float (argparse exits 2 otherwise)."""
+    try:
+        return require_positive(float(text), "value")
+    except ValidationError:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}") from None
+
+
+_positive.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="heislab",
         description="Perimeters, profiles, and cut relaxations on Heisenberg lattices.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    rank = _int_at_least(1)
+    rank = workers = _int_at_least(1)
+    count = _int_at_least(0)
 
     def add(name, fn, help_text):
         sp = sub.add_parser(name, help=help_text)
@@ -620,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-max", type=_int_at_least(0), required=True, help="largest radius")
     sp.add_argument(
         "--z-powers",
-        type=int,
+        type=count,
         default=0,
         help="also tabulate word distances of the central powers 1..N",
     )
@@ -629,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write every ball element with its distance to ball.txt",
     )
-    sp.add_argument("--mem-cap-mib", type=float, default=4096.0)
+    sp.add_argument("--mem-cap-mib", type=_positive, default=4096.0)
 
     sp = add("isoperim", cmd_isoperim, "perimeter ratios of finite sets")
     sp.add_argument("--k", type=rank, default=2, help="lattice rank (default 2)")
@@ -643,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=20260816)
     sp.add_argument(
         "--lq",
-        type=float,
+        type=_positive,
         default=None,
         help="exploratory: head-only vertical sum with exponent q instead of 2",
     )
@@ -653,10 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=float, required=True, help="box half-width")
     sp.add_argument("--s-min", type=float, default=-2.0)
     sp.add_argument("--s-max", type=float, default=8.0)
-    sp.add_argument("--steps", type=int, default=41, help="grid points (default 41)")
-    sp.add_argument("--mc-samples", type=int, default=0, help="also sample each scale")
+    sp.add_argument("--steps", type=_int_at_least(2), default=41, help="grid points (default 41)")
+    sp.add_argument("--mc-samples", type=count, default=0, help="also sample each scale")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=workers, default=1)
 
     sp = add("nm", cmd_nm, "line-averaged nonmonotonicity of a region")
     sp.add_argument(
@@ -668,14 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lines", type=int, default=2000)
     sp.add_argument("--steps", type=int, default=120, help="grid pitch = radius/steps")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=workers, default=1)
 
     sp = add("voxelize", cmd_voxelize, "lattice approximation of a region")
     sp.add_argument("--region", required=True)
     sp.add_argument("--h", type=float, required=True, help="cell scale")
     sp.add_argument("--samples-per-cell", type=int, default=9)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=workers, default=1)
 
     sp = add("c1", cmd_c1, "exact minimum distortion into L1")
     add_metric_input(sp)
@@ -693,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--instance", help="file: n, capacity rows, demand rows")
     group.add_argument("--random", metavar="N,SEED", help="random instance")
     sp.add_argument("--solver", choices=("lp", "sdp", "opt", "all"), default="all")
-    sp.add_argument("--sdp-max-iter", type=int, default=20000)
+    sp.add_argument("--sdp-max-iter", type=_int_at_least(1), default=20000)
 
     sp = add("duality", cmd_duality, "distortion-to-gap instance for a metric space")
     add_metric_input(sp)
@@ -704,10 +670,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--values", default="0,3", metavar="LO,HI", help="integer value range")
     sp.add_argument("--local", type=int, default=None, help="localization radius n")
-    sp.add_argument("--alpha", type=float, default=21.0, help="window inflation factor")
-    sp.add_argument("--mem-cap-mib", type=float, default=4096.0)
+    sp.add_argument("--alpha", type=_positive, default=21.0, help="window inflation factor")
+    sp.add_argument("--mem-cap-mib", type=_positive, default=4096.0)
 
     return p
+
+
+# dests that are no flag, and the input flags, which the record holds as ``source``
+_NOT_CONFIG = {"command", "fn", "out_dir", "metric", "demo", "subsample", "instance", "random"}
+
+
+def _config(args, source: str | None) -> dict:
+    """The run record's configuration: every flag as parsed, None as ""
+    and a repeated flag ";"-joined."""
+    config = {} if source is None else {"source": source}
+    for key, value in vars(args).items():
+        if isinstance(value, list):
+            value = ";".join(value)
+        if key not in _NOT_CONFIG:
+            config[key] = "" if value is None else value
+    return config
 
 
 def main(argv=None) -> int:
@@ -716,8 +698,9 @@ def main(argv=None) -> int:
         with shared_pool(), one_blas_thread():
             t0 = time.monotonic()
             out = _OutDir(args.out_dir)
-            params, summary = args.fn(args, out)
-            out.json("run_record.json", run_record(args.command, params, out.names, t0))
+            summary = args.fn(args, out)
+            record = run_record(args.command, _config(args, out.source), out.names, t0)
+            out.json("run_record.json", record)
             print(summary)
             if out.unconverged is not None:
                 raise ConvergenceError(out.unconverged)

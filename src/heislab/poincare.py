@@ -152,17 +152,9 @@ def poincare_sides(phi: LatticeFunction) -> PoincareSides:
     return PoincareSides(lhs, poincare_rhs(phi), err)
 
 
-def poincare_rhs(phi: LatticeFunction, indices=None) -> float:
-    """sum_h sum_s |phi(h s) - phi(h)|, optionally over the generator
-    subfamily {a_i, b_i : i in indices} (1-based), as one _pair_sum per
-    generator s."""
-    k = phi.k
-    keep = None if indices is None else {int(i) - 1 for i in indices}
-    total = 0.0
-    for j in range(4 * k):
-        if keep is None or (j % (2 * k)) // 2 in keep:
-            total += _pair_sum(phi, generator_step(k, phi.S.rows, j))
-    return total
+def poincare_rhs(phi: LatticeFunction) -> float:
+    """sum_h sum_s |phi(h s) - phi(h)|, as one _pair_sum per generator s."""
+    return sum(_pair_sum(phi, generator_step(phi.k, phi.S.rows, j)) for j in range(4 * phi.k))
 
 
 @dataclass

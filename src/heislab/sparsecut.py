@@ -243,6 +243,8 @@ def gl_sdp(
 ) -> SdpResult:
     """Negative-type relaxation: min <C, d> over d = squared distances of a
     centered Gram matrix, unit total demand, triangle inequalities kept."""
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     n = inst.n
     LC = _laplacian(inst.C)
     LD = _laplacian(inst.D)
@@ -293,8 +295,6 @@ def gl_sdp(
     u = np.zeros(dim)
 
     converged = False
-    it = 0
-    x = z.copy()
     for it in range(1, max_iter + 1):
         x = affine_project(z - u, rho)
         xhat = alpha * x + (1.0 - alpha) * z

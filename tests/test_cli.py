@@ -291,6 +291,7 @@ def test_bad_region_exit_code(tmp_path):
 
 NM = ["nm", "--region", "quasi-ball:k=1,R=3"]
 NM4 = ["--radius", "2", "--lines", "4"]
+BOX = ["box-profile", "--k", "1", "--r", "1"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -324,18 +325,52 @@ NM4 = ["--radius", "2", "--lines", "4"]
          "unknown region parameter 'radius'"),
         (["c1", "--demo", "ball:0,1"], "lattice rank k must be >= 1"),
         (["sparsest-cut", "--random", "1,3"], "instance needs at least two points"),
+        (["sparsest-cut", "--random", "5,1", "--sdp-max-iter", "0"],
+         "argument --sdp-max-iter: must be >= 1, got 0"),
+        (BOX + ["--steps", "-5"], "argument --steps: must be >= 2, got -5"),
+        (BOX + ["--steps", "1"], "argument --steps: must be >= 2, got 1"),
+        (BOX + ["--s-min", "5", "--s-max", "1"], "--s-min below --s-max"),
+        (BOX + ["--s-min", "1", "--s-max", "1"], "--s-min below --s-max"),
+        (BOX + ["--s-max", "inf"], "--s-min and --s-max must be finite"),
+        (["isoperim", "--k", "1", "--set", "box(2,2,2)", "--lq", "0"],
+         "argument --lq: must be positive and finite, got 0"),
+        (["poincare", "--k", "1", "--set", "box(2,2,2)", "--local", "1", "--alpha", "-1"],
+         "argument --alpha: must be positive and finite, got -1"),
+        (BOX + ["--mc-samples", "100", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+        (NM + NM4 + ["--workers", "-2"], "argument --workers: must be >= 1, got -2"),
+        (["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.5", "--workers", "0"],
+         "argument --workers: must be >= 1, got 0"),
+        (BOX + ["--mc-samples", "-3"], "argument --mc-samples: must be >= 0, got -3"),
+        (["growth", "--r-max", "2", "--z-powers", "-1"],
+         "argument --z-powers: must be >= 0, got -1"),
+        (["growth", "--r-max", "2", "--mem-cap-mib", "-1"],
+         "argument --mem-cap-mib: must be positive and finite, got -1"),
+        (["poincare", "--k", "1", "--set", "box(2,2,2)", "--mem-cap-mib", "0"],
+         "argument --mem-cap-mib: must be positive and finite, got 0"),
     ],
     ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
          "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan",
          "region-R-negative", "region-R-nan", "region-r-zero", "region-a-negative",
          "region-offset-inf", "region-axis-7", "region-axis-negative", "region-k-0",
-         "region-unknown-key", "c1-demo-rank-0", "sparsest-one-point"],
+         "region-unknown-key", "c1-demo-rank-0", "sparsest-one-point",
+         "sparsest-sdp-max-iter-0", "box-profile-steps-negative", "box-profile-steps-1",
+         "box-profile-s-descending", "box-profile-s-equal", "box-profile-s-max-inf",
+         "isoperim-lq-0", "poincare-alpha-negative", "box-profile-workers-0",
+         "nm-workers-negative", "voxelize-workers-0", "box-profile-mc-samples-negative",
+         "growth-z-powers-negative", "growth-mem-cap-negative", "poincare-mem-cap-0"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
-    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    try:
+        rc = main(argv + ["--out-dir", str(tmp_path)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
     out, err = capsys.readouterr()
     assert out == ""
+    if err.startswith("usage: "):  # the parser refused a flag: "heislab CMD: error: ..."
+        err = err.splitlines()[-1].partition(": ")[2]
     assert err.startswith("error: ") and message in err
+    assert not any(tmp_path.iterdir())  # refused before the first data file
 
 
 @pytest.mark.parametrize(
@@ -432,9 +467,14 @@ FRAME_CASES = {
 }
 
 
-def test_frame_cases_cover_every_command():
+def subcommands() -> dict:
+    """{name: subparser} of every CLI command."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert {argv[0] for argv, _ in FRAME_CASES.values()} == set(sub.choices)
+    return sub.choices
+
+
+def test_frame_cases_cover_every_command():
+    assert {argv[0] for argv, _ in FRAME_CASES.values()} == set(subcommands())
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_CASES))
@@ -444,6 +484,25 @@ def test_run_record_lists_every_file(tmp_path, name):
     assert main(argv + ["--out-dir", str(tmp_path)]) == rc
     written = sorted(p.name for p in tmp_path.iterdir() if p.name != "run_record.json")
     assert read_record(tmp_path)["outputs"] == written
+
+
+INPUT_FLAGS = {"metric", "demo", "subsample", "instance", "random"}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_run_record_config_is_the_parsed_flags(tmp_path, name):
+    # the record holds every flag of the command, a flag not given at its
+    # default, and the input flags as the one source string
+    argv, rc = FRAME_CASES[name]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == rc
+    defaults = {a.dest: a.default for a in subcommands()[argv[0]]._actions}
+    del defaults["help"], defaults["out_dir"]
+    inputs = defaults.keys() & INPUT_FLAGS
+    config = read_record(tmp_path)["config"]
+    assert set(config) == defaults.keys() - inputs | ({"source"} if inputs else set())
+    for dest, default in defaults.items():
+        if dest not in inputs and "--" + dest.replace("_", "-") not in argv:
+            assert config[dest] == ("" if default is None else format_value(default)), dest
 
 
 def test_one_blas_thread_restores_the_pool():

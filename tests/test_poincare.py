@@ -16,6 +16,7 @@ from heislab.perimeter import (
 )
 from heislab.poincare import (
     LatticeFunction,
+    _pair_sum,
     _rhs_window,
     _vertical_sums,
     coarea,
@@ -123,9 +124,11 @@ def test_rhs_generator_subfamily():
     S = random_blob(2, 30, 3)
     phi = LatticeFunction.random_integer(S, 0, 4, 9)
     full = poincare_rhs(phi)
-    partial = poincare_rhs(phi, indices=[1])
+    # at k = 2, generator j moves along a_i or b_i with i = (j % 4) // 2 + 1
+    per_generator = [_pair_sum(phi, generator_step(2, phi.S.rows, j)) for j in range(8)]
+    partial = sum(v for j, v in enumerate(per_generator) if (j % 4) // 2 == 0)
     assert 0 < partial < full
-    both = poincare_rhs(phi, indices=[1, 2])
+    both = sum(per_generator)
     assert both == pytest.approx(full)
 
 

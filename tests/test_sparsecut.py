@@ -31,6 +31,9 @@ def test_validation():
         Instance(np.zeros((3, 3)), np.zeros((3, 3)))  # no demand
     with pytest.raises(ValidationError):
         Instance(-np.ones((3, 3)), np.ones((3, 3)) - np.eye(3))
+    for max_iter in (0, -3):
+        with pytest.raises(ValidationError, match="max_iter must be >= 1"):
+            gl_sdp(single_edge_instance(), max_iter=max_iter)
 
 
 def test_text_roundtrip():
@@ -108,6 +111,7 @@ def test_sdp_iteration_flagging():
     res = gl_sdp(inst, max_iter=5)
     assert not res.converged
     assert res.iterations <= 5
+    assert gl_sdp(inst, max_iter=1).iterations == 1
 
 
 def test_integrality_gap_report():
