@@ -96,10 +96,6 @@ class Ball:
     def size(self) -> int:
         return self.points.size
 
-    @property
-    def coords(self) -> np.ndarray:
-        return self.points.rows
-
     def counts(self) -> np.ndarray:
         """counts[r] = number of elements at distance exactly r."""
         return np.bincount(self.dists, minlength=self.radius + 1)
@@ -271,13 +267,9 @@ def word_upper_bound(g: DiscreteElement) -> int:
     )
 
 
-def z_power_distance(
-    k: int, t: int, r_max: int | None = None, mem_cap_mib: float = 4096.0
-):
+def z_power_distance(k: int, t: int, mem_cap_mib: float = 4096.0):
     """Exact word distance of the central power c^t."""
     from .group import central
 
     g = central(k, t)
-    if r_max is None:
-        r_max = word_upper_bound(g)
-    return word_distance(g, r_max, mem_cap_mib)
+    return word_distance(g, word_upper_bound(g), mem_cap_mib)

@@ -49,9 +49,15 @@ from .embeddings import (
     random_metric,
     triangle_slacks,
 )
-from .errors import ConvergenceError, ResourceCapError, ValidationError, require_positive
+from .errors import (
+    ConvergenceError,
+    ResourceCapError,
+    ValidationError,
+    require_positive,
+    require_seed,
+)
 from .lines import nonmonotonicity
-from .parallel import one_blas_thread, shared_pool
+from .parallel import MAX_WORKERS, one_blas_thread, shared_pool
 from .perimeter import (
     default_corpus,
     horizontal_perimeter,
@@ -276,32 +282,39 @@ def cmd_voxelize(args, out) -> str:
 # -- metric inputs -----------------------------------------------------------------
 
 
+# built-in metric spaces and their arguments; search: negative type, distortion > 1
+_DEMOS = {
+    "path": "N",
+    "cycle": "N",
+    "bipartite": "A,B",
+    "ball": "K,R",
+    "random": "N,SEED",
+    "search": "N,SEED",
+}
+
+
 def _demo_metric(text: str) -> MetricSpace:
-    """Built-in metric spaces: path:N, cycle:N, bipartite:A,B, ball:K,R,
-    random:N,SEED, search:N,SEED (negative type with distortion > 1)."""
+    """The built-in metric space of a KIND:ARGS spec, ARGS as in _DEMOS."""
     name, _, rest = text.partition(":")
+    if name not in _DEMOS:
+        raise ValidationError(f"unknown demo metric {name!r}")
     try:
-        a = [int(v) for v in rest.split(",")] if rest else []
+        a = [int(v) for v in rest.split(",")]
     except ValueError:
-        raise ValidationError(f"bad demo arguments {rest!r}") from None
-    try:
-        if name == "path":
-            return path_metric(*a)
-        if name == "cycle":
-            return cycle_metric(*a)
-        if name == "bipartite":
-            return complete_bipartite_metric(*a)
-        if name == "ball":
-            return ball_metric(*a)[0]
-        if name == "random":
-            return random_metric(*a)
-        if name == "search":
-            if len(a) != 2:
-                raise ValidationError("search takes N,SEED")
-            return negative_type_with_distortion(a[0], 1, a[1])[0][0]
-    except TypeError:
-        raise ValidationError(f"wrong argument count for demo {name!r}") from None
-    raise ValidationError(f"unknown demo metric {name!r}")
+        a = []
+    if len(a) != len(_DEMOS[name].split(",")):
+        raise ValidationError(f"demo {name} takes {name}:{_DEMOS[name]}, got {text!r}")
+    if name == "path":
+        return path_metric(a[0])
+    if name == "cycle":
+        return cycle_metric(a[0])
+    if name == "bipartite":
+        return complete_bipartite_metric(a[0], a[1])
+    if name == "ball":
+        return ball_metric(a[0], a[1])[0]
+    if name == "random":
+        return random_metric(a[0], require_seed(a[1], "demo seed"))
+    return negative_type_with_distortion(a[0], 1, require_seed(a[1], "demo seed"))[0]
 
 
 def _read_input(path: str) -> str:
@@ -420,7 +433,7 @@ def _load_instance(args) -> tuple[Instance, str]:
         n, seed = (int(v) for v in args.random.split(","))
     except ValueError:
         raise ValidationError("--random takes N,SEED") from None
-    return random_instance(n, seed), f"random:{n},{seed}"
+    return random_instance(n, require_seed(seed, "instance seed")), f"random:{n},{seed}"
 
 
 def cmd_sparsest_cut(args, out) -> str:
@@ -558,13 +571,35 @@ def _positive(text: str) -> float:
 _positive.__name__ = "float"
 
 
+def _seed(text: str) -> int:
+    """argparse type: a seed in 0..2^64-1 (argparse exits 2 otherwise)."""
+    try:
+        return require_seed(int(text), "seed")
+    except ValidationError:
+        raise argparse.ArgumentTypeError(f"must be in 0..2^64-1, got {text}") from None
+
+
+_seed.__name__ = "int"
+
+
+def _workers(text: str) -> int:
+    """argparse type: a worker count in 1..MAX_WORKERS (argparse exits 2 otherwise)."""
+    value = _int_at_least(1)(text)
+    if value > MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_WORKERS}, got {value}")
+    return value
+
+
+_workers.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="heislab",
         description="Perimeters, profiles, and cut relaxations on Heisenberg lattices.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    rank = workers = _int_at_least(1)
+    rank = _int_at_least(1)
     count = _int_at_least(0)
 
     def add(name, fn, help_text):
@@ -578,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--metric", help="distance file: n then upper-triangle rows")
         group.add_argument(
             "--demo",
-            help="path:N | cycle:N | bipartite:A,B | ball:K,R | random:N,SEED | search:N,SEED",
+            help=" | ".join(f"{name}:{args}" for name, args in _DEMOS.items()),
         )
 
     sp = add("growth", cmd_growth, "ball sizes of the word metric")
@@ -606,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="box(a,b,h) | ball(r) | column(h) | random_blob(size[,seed]) | singleton",
     )
     sp.add_argument("--corpus", action="store_true", help="analyze the standard corpus")
-    sp.add_argument("--seed", type=int, default=20260816)
+    sp.add_argument("--seed", type=_seed, default=20260816)
     sp.add_argument(
         "--lq",
         type=_positive,
@@ -621,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-max", type=float, default=8.0)
     sp.add_argument("--steps", type=_int_at_least(2), default=41, help="grid points (default 41)")
     sp.add_argument("--mc-samples", type=count, default=0, help="also sample each scale")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=workers, default=1)
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--workers", type=_workers, default=1)
 
     sp = add("nm", cmd_nm, "line-averaged nonmonotonicity of a region")
     sp.add_argument(
@@ -633,15 +668,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, required=True, help="observation ball")
     sp.add_argument("--lines", type=int, default=2000)
     sp.add_argument("--steps", type=int, default=120, help="grid pitch = radius/steps")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=workers, default=1)
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--workers", type=_workers, default=1)
 
     sp = add("voxelize", cmd_voxelize, "lattice approximation of a region")
     sp.add_argument("--region", required=True)
     sp.add_argument("--h", type=float, required=True, help="cell scale")
     sp.add_argument("--samples-per-cell", type=int, default=9)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=workers, default=1)
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--workers", type=_workers, default=1)
 
     sp = add("c1", cmd_c1, "exact minimum distortion into L1")
     add_metric_input(sp)
@@ -667,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("poincare", cmd_poincare, "vertical-vs-horizontal functional identities")
     sp.add_argument("--k", type=rank, default=2)
     sp.add_argument("--set", required=True, metavar="SPEC", help="support set spec")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--values", default="0,3", metavar="LO,HI", help="integer value range")
     sp.add_argument("--local", type=int, default=None, help="localization radius n")
     sp.add_argument("--alpha", type=_positive, default=21.0, help="window inflation factor")

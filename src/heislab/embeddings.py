@@ -28,6 +28,10 @@ from .rng import Rng
 from .simplex import solve_lp
 
 _C1_MAX_POINTS = 16
+_TOL = 1e-9  # MetricSpace's symmetry, diagonal and triangle slack, relative
+_NEG_TYPE_TOL = 1e-8  # least centered Gram eigenvalue still negative type, relative
+_SEARCH_FLOOR = 1.01  # least distortion a search draw must reach
+_SEARCH_TRIES = 6000  # draws before a search gives up
 
 
 def upper_triangle_text(*mats: np.ndarray) -> str:
@@ -79,7 +83,7 @@ def triangle_slacks(d: np.ndarray) -> np.ndarray:
 class MetricSpace:
     """Validated symmetric distance matrix on points 0..n-1."""
 
-    def __init__(self, d, tol: float = 1e-9):
+    def __init__(self, d):
         d = np.array(d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
@@ -89,16 +93,16 @@ class MetricSpace:
         if not np.all(np.isfinite(d)):
             raise ValidationError("distances must be finite")
         scale = max(1.0, float(np.abs(d).max()))
-        if np.abs(d - d.T).max() > tol * scale:
+        if np.abs(d - d.T).max() > _TOL * scale:
             raise ValidationError("distance matrix must be symmetric")
         d = (d + d.T) / 2.0
-        if np.abs(np.diag(d)).max() > tol * scale:
+        if np.abs(np.diag(d)).max() > _TOL * scale:
             raise ValidationError("diagonal must be zero")
         np.fill_diagonal(d, 0.0)
         off = d[~np.eye(n, dtype=bool)]
         if n > 1 and off.min() <= 0:
             raise ValidationError("distinct points must be at positive distance")
-        bad = np.flatnonzero(triangle_slacks(d) > tol * scale)
+        bad = np.flatnonzero(triangle_slacks(d) > _TOL * scale)
         if len(bad):
             raise ValidationError(f"triangle inequality fails through point {bad[0]}")
         self.d = d
@@ -127,12 +131,13 @@ class MetricSpace:
         idx = np.asarray(indices, dtype=np.int64)
         return MetricSpace(self.d[np.ix_(idx, idx)])
 
-    def subsample_farthest(self, m: int, start: int = 0):
-        """Greedy farthest-point subsample of m points; returns (indices, space)."""
+    def subsample_farthest(self, m: int):
+        """Greedy farthest-point subsample of m points from point 0; returns
+        (indices, space)."""
         if not 1 <= m <= self.n:
             raise ValidationError("subsample size out of range")
-        chosen = [start]
-        mind = self.d[start].copy()
+        chosen = [0]
+        mind = self.d[0].copy()
         while len(chosen) < m:
             mind[chosen] = -1.0
             nxt = int(np.argmax(mind))
@@ -158,6 +163,8 @@ def cycle_metric(n: int) -> MetricSpace:
 
 def complete_bipartite_metric(a: int, b: int) -> MetricSpace:
     """Shortest-path metric of the complete bipartite graph on a + b points."""
+    if min(a, b) < 1:
+        raise ValidationError(f"bipartite sides must be >= 1, got {a} and {b}")
     n = a + b
     side = np.array([0] * a + [1] * b)
     d = np.where(side[:, None] != side[None, :], 1.0, 2.0)
@@ -165,35 +172,27 @@ def complete_bipartite_metric(a: int, b: int) -> MetricSpace:
     return MetricSpace(d)
 
 
-def random_metric(n: int, seed: int, low: float = 1.0, high: float = 2.0) -> MetricSpace:
-    """Random metric with entries in [low, high]; high <= 2*low keeps triangles."""
-    if not low > 0 or high > 2 * low:
-        raise ValidationError("need 0 < low and high <= 2*low")
+def random_metric(n: int, seed: int) -> MetricSpace:
+    """Random metric with entries uniform in [1, 2], so triangles hold."""
+    if n < 1:
+        raise ValidationError(f"a metric needs at least one point, got {n}")
     rng = Rng(seed)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = low + (high - low) * rng.uniform()
+            d[i, j] = d[j, i] = 1.0 + rng.uniform()
     return MetricSpace(d)
 
 
-def ball_metric(
-    k: int,
-    r: int,
-    mem_cap_mib: int = 4096,
-    subsample: int | None = None,
-    subsample_seed: int = 0,
-) -> tuple[MetricSpace, list[DiscreteElement]]:
+def ball_metric(k: int, r: int) -> tuple[MetricSpace, list[DiscreteElement]]:
     """Word metric restricted to the radius-r ball.
 
     Distances come from a single radius-2r table: d(g, h) is the distance
     of g^{-1} h from the identity, and that product stays within radius 2r.
     Returns the metric space and the points in the ball's coordinate order.
-    With ``subsample`` set, a greedy farthest-point pass keeps that many
-    points, seeded deterministically by the choice of starting point.
     """
-    small = ball(k, r, mem_cap_mib=mem_cap_mib)
-    big = ball(k, 2 * r, mem_cap_mib=mem_cap_mib)
+    small = ball(k, r)
+    big = ball(k, 2 * r)
     pts = [el for el, _ in small.elements()]
     n = len(pts)
     d = np.zeros((n, n))
@@ -204,11 +203,7 @@ def ball_metric(
             if dist is None:
                 raise ValidationError("radius-2r table misses a pairwise product")
             d[i, j] = d[j, i] = float(dist)
-    ms = MetricSpace(d)
-    if subsample is None or subsample >= n:
-        return ms, pts
-    idx, ms = ms.subsample_farthest(subsample, start=subsample_seed % n)
-    return ms, [pts[i] for i in idx]
+    return MetricSpace(d), pts
 
 
 # -- negative type -------------------------------------------------------
@@ -223,7 +218,7 @@ class NegativeTypeReport:
     reconstruction_error: float | None
 
 
-def is_negative_type(ms: MetricSpace, tol: float = 1e-8) -> NegativeTypeReport:
+def is_negative_type(ms: MetricSpace) -> NegativeTypeReport:
     """Spectral test of negative type with a certificate either way.
 
     Positive case: the centered Gram matrix factors into points whose
@@ -237,7 +232,7 @@ def is_negative_type(ms: MetricSpace, tol: float = 1e-8) -> NegativeTypeReport:
     K = (K + K.T) / 2.0
     w, V = np.linalg.eigh(K)
     scale = max(1.0, float(np.trace(K)))
-    ok = bool(w.min() >= -tol * scale)
+    ok = bool(w.min() >= -_NEG_TYPE_TOL * scale)
     if ok:
         X = V * np.sqrt(np.clip(w, 0.0, None))
         sq = np.square(X[:, None, :] - X[None, :, :]).sum(axis=2)
@@ -373,29 +368,28 @@ def c1_distortion(ms: MetricSpace, refine: bool | None = None) -> DistortionRepo
     )
 
 
-def negative_type_with_distortion(
-    n: int,
-    count: int,
-    seed: int,
-    min_distortion: float = 1.01,
-    max_tries: int = 6000,
-) -> list[tuple[MetricSpace, DistortionReport]]:
-    """Random negative-type spaces whose L1 distortion exceeds a floor.
+def negative_type_with_distortion(n: int, count: int, seed: int) -> list[MetricSpace]:
+    """Random negative-type spaces whose L1 distortion reaches 1.01.
 
     Draws metrics with entries in [1, 2] (triangle inequalities hold for
-    free), keeps those certified to be of negative type whose distortion
-    LP lands at or above ``min_distortion``, and returns each space with
-    its distortion report.  Deterministic in ``seed``.
+    free) and keeps those certified to be of negative type whose float
+    distortion LP lands at or above the floor.  Deterministic in ``seed``.
+    Every metric on at most 4 points embeds isometrically in L1 (Deza &
+    Laurent, 1997), so no draw with n <= 4 can reach the floor.
     """
-    out: list[tuple[MetricSpace, DistortionReport]] = []
-    for t in range(max_tries):
+    if n <= 4:
+        raise ValidationError(
+            f"a search needs at least 5 points, got {n}: every metric on at "
+            "most 4 points embeds isometrically in L1"
+        )
+    out: list[MetricSpace] = []
+    for t in range(_SEARCH_TRIES):
         ms = random_metric(n, seed=Rng(seed).substream(t).seed)
         if not is_negative_type(ms).is_negative_type:
             continue
-        rep = c1_distortion(ms, refine=False)
-        if rep.distortion < min_distortion:
+        if c1_distortion(ms, refine=False).distortion < _SEARCH_FLOOR:
             continue
-        out.append((ms, c1_distortion(ms, refine=True)))
+        out.append(ms)
         if len(out) == count:
             return out
     raise ValidationError(

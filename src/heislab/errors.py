@@ -20,3 +20,10 @@ def require_positive(value: float, what: str) -> float:
     if not (value > 0 and math.isfinite(value)):
         raise ValidationError(f"{what} must be positive and finite")
     return value
+
+
+def require_seed(value: int, what: str) -> int:
+    """value, if it is a seed in 0..2^64-1; else a ValidationError."""
+    if not 0 <= value < 1 << 64:
+        raise ValidationError(f"{what} must be in 0..2^64-1, got {value}")
+    return value

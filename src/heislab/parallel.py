@@ -7,9 +7,10 @@ shared state.  Workers receive (fn, payload) through pickling, so fn
 must be a module-level callable.
 
 Inside a shared_pool() block every block_map call reuses one process
-pool, sized by and started on the first call that needs more than one
-worker, and shut down when the block ends; a call outside such a block
-is a block of its own.
+pool, started on the first call that needs more than one worker with
+one process per payload of that call up to its worker count, and shut
+down when the block ends; a call outside such a block is a block of its
+own.  MAX_WORKERS is the largest worker count the CLI accepts.
 
 one_blas_thread() pins numpy's bundled OpenBLAS pool to one thread for a
 block: solver floats depend on the pool size, so this keeps their files
@@ -22,6 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
+
+MAX_WORKERS = 64
 
 _scope: dict | None = None  # {"pool": executor} once started, inside shared_pool()
 
@@ -51,7 +54,7 @@ def block_map(fn, payloads: list, workers: int = 1) -> list:
         return [fn(p) for p in payloads]
     with shared_pool():
         if "pool" not in _scope:
-            _scope["pool"] = ProcessPoolExecutor(max_workers=workers)
+            _scope["pool"] = ProcessPoolExecutor(max_workers=min(workers, len(payloads)))
         return list(_scope["pool"].map(fn, payloads))
 
 

@@ -30,7 +30,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, require_seed
 from .group import DiscreteElement, row_text
 from .rng import Rng
 
@@ -178,11 +178,6 @@ class VerticalSpectrum:
     T0: int
     head: np.ndarray  # head[t - 1] = |bd_v^t|, t = 1..T0
 
-    def count(self, t: int) -> int:
-        if t <= self.T0:
-            return int(self.head[t - 1])
-        return 2 * self.size
-
     @property
     def tail_sq(self) -> float:
         """sum_{t > T0} (2 size)^2 / t^2, the closed-form tail."""
@@ -276,10 +271,10 @@ def box_set(k: int, a: int, b: int, h: int) -> FiniteSet:
     return FiniteSet(k, np.indices(dims, dtype=np.int64).reshape(2 * k + 1, -1).T)
 
 
-def ball_set(k: int, r: int, mem_cap_mib: float = 4096.0) -> FiniteSet:
+def ball_set(k: int, r: int) -> FiniteSet:
     from .cayley import ball
 
-    return ball(k, r, mem_cap_mib).points
+    return ball(k, r).points
 
 
 def column_set(k: int, height: int) -> FiniteSet:
@@ -350,7 +345,7 @@ def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
             raise ValidationError("column takes (h)")
         return column_set(k, args[0])
     if len(args) == 2:
-        return random_blob(k, args[0], args[1])
+        return random_blob(k, args[0], require_seed(args[1], "random_blob seed"))
     if len(args) == 1:
         if seed is None:
             raise ValidationError("random_blob needs a seed")

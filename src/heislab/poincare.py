@@ -46,17 +46,16 @@ class LatticeFunction:
     with S.rows, shape (n,) for scalars or (n, vdim) for vectors.
     """
 
-    def __init__(self, k: int, values: dict, vdim: int | None = None):
-        """values maps coordinate tuples or DiscreteElements to scalars, or
-        to vectors of length vdim; zero values are dropped."""
+    def __init__(self, k: int, values: dict):
+        """values maps coordinate tuples or DiscreteElements to scalars;
+        zero values are dropped."""
         keys = [key.coords() if hasattr(key, "coords") else key for key in values]
         S = FiniteSet(k, keys)  # refuses an empty support and wrong tuple lengths
-        shape = (len(keys),) if vdim is None else (len(keys), vdim)
         try:
-            given = np.array(list(values.values()), dtype=float).reshape(shape)
+            given = np.array(list(values.values()), dtype=float).reshape(len(keys))
         except ValueError:
-            raise ValidationError("vector value dimension mismatch") from None
-        vals = np.zeros((S.size,) + shape[1:])
+            raise ValidationError("values must be scalars") from None
+        vals = np.zeros(S.size)
         vals[S.locate(np.array(keys, dtype=np.int64))] = given
         self._adopt(S, vals)
 

@@ -75,9 +75,9 @@ class Rng:
     whose outputs do not depend on how much the parent has consumed.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed & _MASK
-        self.counter = counter
+        self.counter = 0
 
     def substream(self, stream_index: int) -> "Rng":
         if stream_index < 0:

@@ -37,6 +37,7 @@ _TOL_RC = 1e-9
 _TOL_RATIO = 1e-10
 _STALL = 60
 _PERTURB = 1e-7  # rhs shift after a stall, relative to 1 + max |b|
+_MAX_ITER = 20000  # pivots of both phases before a solve stops short
 
 
 @dataclass
@@ -152,14 +153,7 @@ class _Tableau:
         return True
 
 
-def solve_lp(
-    c,
-    A,
-    b,
-    senses,
-    max_iter: int = 20000,
-    refine: bool = False,
-) -> LpResult:
+def solve_lp(c, A, b, senses, refine: bool = False) -> LpResult:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -196,7 +190,7 @@ def solve_lp(
     allow = np.ones(N, dtype=bool)
     if n_art:
         tab.c[n + n_slack :] = 1.0
-        status = tab.run(allow, max_iter)
+        status = tab.run(allow, _MAX_ITER)
         if status != "optimal":
             return LpResult(status, iterations=tab.iterations)
         B = full[:, tab.basis]
@@ -207,7 +201,7 @@ def solve_lp(
     tab.c = np.zeros(N)
     tab.c[:n] = c
     allow[n + n_slack :] = False  # artificials may linger basic at zero
-    status = tab.run(allow, max_iter)
+    status = tab.run(allow, _MAX_ITER)
     if status != "optimal":
         return LpResult(status, iterations=tab.iterations)
 

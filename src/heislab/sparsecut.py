@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import (
-    DistortionReport,
     MetricSpace,
     c1_distortion,
     cut_pair_matrix,
@@ -41,6 +40,11 @@ from .rng import Rng
 from .simplex import solve_lp
 
 _OPT_MAX_POINTS = 24
+_OPT_CHUNK = 1 << 18  # cut sides weighed per vectorized block
+_CAP_DENSITY, _DEM_DENSITY = 0.7, 0.5  # random_instance's chance of each entry
+_TRIANGLE_TOL = 1e-9  # a triangle row is added once violated by this, relative
+# gl_sdp's ADMM: starting penalty, over-relaxation, stopping tolerances
+_SDP_RHO, _SDP_ALPHA, _SDP_ABSTOL, _SDP_RELTOL = 1.0, 1.6, 1e-9, 1e-8
 
 
 def _check_weight_matrix(M, n: int, name: str) -> np.ndarray:
@@ -82,16 +86,15 @@ class Instance:
         return cls(C, D)
 
 
-def random_instance(
-    n: int, seed: int, cap_density: float = 0.7, dem_density: float = 0.5
-) -> Instance:
-    """Random instance; entry present with the given density, weight in (0,1)."""
+def random_instance(n: int, seed: int) -> Instance:
+    """Random instance: a capacity present with chance 0.7 and a demand
+    with chance 0.5, each weight uniform in (0,1)."""
     if n < 2:
         raise ValidationError("instance needs at least two points")
     rng = Rng(seed)
     C = np.zeros((n, n))
     D = np.zeros((n, n))
-    for M, dens in ((C, cap_density), (D, dem_density)):
+    for M, dens in ((C, _CAP_DENSITY), (D, _DEM_DENSITY)):
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.uniform() < dens:
@@ -112,7 +115,7 @@ class OptResult:
     cut_demand: float
 
 
-def opt_bruteforce(inst: Instance, chunk: int = 1 << 18) -> OptResult:
+def opt_bruteforce(inst: Instance) -> OptResult:
     """Minimum cut ratio over all 2^(n-1) - 1 proper sides."""
     n = inst.n
     if n > _OPT_MAX_POINTS:
@@ -123,8 +126,8 @@ def opt_bruteforce(inst: Instance, chunk: int = 1 << 18) -> OptResult:
     best_mask = 0
     best_cap = best_dem = 0.0
     total = (1 << (n - 1)) - 1
-    for start in range(1, total + 1, chunk):
-        masks = np.arange(start, min(start + chunk, total + 1), dtype=np.uint32)
+    for start in range(1, total + 1, _OPT_CHUNK):
+        masks = np.arange(start, min(start + _OPT_CHUNK, total + 1), dtype=np.uint32)
         B = cut_sides(masks, n)
         cap = ((B @ inst.C) * (1.0 - B)).sum(axis=1)
         dem = ((B @ inst.D) * (1.0 - B)).sum(axis=1)
@@ -172,7 +175,7 @@ def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos[i, j], pos[i, k], pos[j, k]
 
 
-def lp_relaxation(inst: Instance, tol: float = 1e-9) -> LpRelaxResult:
+def lp_relaxation(inst: Instance) -> LpRelaxResult:
     """min <C, d> over metrics d with <D, d> = 1, by lazy triangle rows."""
     n = inst.n
     iu = np.triu_indices(n, 1)
@@ -195,7 +198,7 @@ def lp_relaxation(inst: Instance, tol: float = 1e-9) -> LpRelaxResult:
         x = res.x
         scale = max(1.0, float(np.abs(x).max()))
         v = x[ij] - x[ik] - x[jk]
-        new = np.flatnonzero(~active & (v > tol * scale))
+        new = np.flatnonzero(~active & (v > _TRIANGLE_TOL * scale))
         if len(new) == 0:
             d = np.zeros((n, n))
             d[iu] = x
@@ -233,14 +236,7 @@ def _laplacian(W: np.ndarray) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def gl_sdp(
-    inst: Instance,
-    rho: float = 1.0,
-    alpha: float = 1.6,
-    max_iter: int = 20000,
-    abstol: float = 1e-9,
-    reltol: float = 1e-8,
-) -> SdpResult:
+def gl_sdp(inst: Instance, max_iter: int = 20000) -> SdpResult:
     """Negative-type relaxation: min <C, d> over d = squared distances of a
     centered Gram matrix, unit total demand, triangle inequalities kept."""
     if max_iter < 1:
@@ -294,6 +290,7 @@ def gl_sdp(
     z[nk:] = -(E_tri[:, :nk] * K0.ravel()).sum(axis=1)
     u = np.zeros(dim)
 
+    rho, alpha = _SDP_RHO, _SDP_ALPHA
     converged = False
     for it in range(1, max_iter + 1):
         x = affine_project(z - u, rho)
@@ -312,10 +309,10 @@ def gl_sdp(
         if it % 10 == 0 or it == max_iter:
             r_norm = float(np.linalg.norm(x - z))
             s_norm = float(rho * np.linalg.norm(z - z_old))
-            eps_pri = np.sqrt(dim) * abstol + reltol * max(
+            eps_pri = np.sqrt(dim) * _SDP_ABSTOL + _SDP_RELTOL * max(
                 np.linalg.norm(x), np.linalg.norm(z)
             )
-            eps_dual = np.sqrt(dim) * abstol + reltol * rho * np.linalg.norm(u)
+            eps_dual = np.sqrt(dim) * _SDP_ABSTOL + _SDP_RELTOL * rho * np.linalg.norm(u)
             if r_norm <= eps_pri and s_norm <= eps_dual:
                 converged = True
                 break
@@ -366,9 +363,7 @@ class HarnessReport:
     gap_lower_bound: float
 
 
-def duality_harness(
-    ms: MetricSpace, rep: DistortionReport | None = None
-) -> HarnessReport:
+def duality_harness(ms: MetricSpace) -> HarnessReport:
     """Instance on which the cut optimum beats the SDP by the L1 distortion.
 
     With mu, nu the optimal multipliers of the distortion LP and t* the
@@ -377,8 +372,7 @@ def duality_harness(
     than against mu), while the space's own metric, scaled to unit
     demand, is SDP-feasible with value sum(nu d) = 1.
     """
-    if rep is None:
-        rep = c1_distortion(ms, refine=True)
+    rep = c1_distortion(ms, refine=True)
     nt = is_negative_type(ms)
     if not nt.is_negative_type:
         raise ValidationError("harness needs a space of negative type")

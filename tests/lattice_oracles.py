@@ -18,6 +18,11 @@ from heislab.group import DiscreteElement
 from heislab.perimeter import FiniteSet, element_from_row
 
 
+def spectrum_count(spec, t: int) -> int:
+    """|bd_v^t S| read off a vertical spectrum: its head up to T0, 2|S| beyond."""
+    return int(spec.head[t - 1]) if t <= spec.T0 else 2 * spec.size
+
+
 def _unit(k: int, i: int, sign: int) -> tuple:
     e = [0] * k
     e[i] = sign

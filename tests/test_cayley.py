@@ -78,7 +78,7 @@ def test_word_distance_agrees_with_ball():
 @pytest.mark.parametrize("k,r", [(1, 8), (2, 5)])
 def test_ball_distances_block(k, r):
     b = ball(k, r + 1)
-    rows = b.coords[::13]
+    rows = b.points.rows[::13]
     want = np.where(b.dists[::13] <= r, b.dists[::13], -1)
     # rows outside the BFS window: |x_1| > r, and |w| > r^2 + 1
     out = np.zeros((3, 2 * k + 1), dtype=np.int64)
@@ -136,5 +136,5 @@ def test_mem_cap():
 
 def test_element_from_row():
     b = ball(1, 2)
-    el = element_from_row(1, b.coords[0])
+    el = element_from_row(1, b.points.rows[0])
     assert isinstance(el, DiscreteElement)

@@ -347,6 +347,15 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "argument --mem-cap-mib: must be positive and finite, got -1"),
         (["poincare", "--k", "1", "--set", "box(2,2,2)", "--mem-cap-mib", "0"],
          "argument --mem-cap-mib: must be positive and finite, got 0"),
+        (["c1", "--demo", "random:-1,1"], "a metric needs at least one point, got -1"),
+        (["c1", "--demo", "bipartite:-1,2"], "bipartite sides must be >= 1, got -1 and 2"),
+        (["c1", "--demo", "ball:1,1,4096,3"], "demo ball takes ball:K,R, got 'ball:1,1,4096,3'"),
+        (["c1", "--demo", "search:4,1"], "a search needs at least 5 points, got 4"),
+        (BOX + ["--mc-samples", "100", "--workers", "65"],
+         "argument --workers: must be <= 64, got 65"),
+        (NM + NM4 + ["--workers", "65"], "argument --workers: must be <= 64, got 65"),
+        (["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.5", "--workers", "100000"],
+         "argument --workers: must be <= 64, got 100000"),
     ],
     ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
          "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan",
@@ -357,7 +366,10 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "box-profile-s-descending", "box-profile-s-equal", "box-profile-s-max-inf",
          "isoperim-lq-0", "poincare-alpha-negative", "box-profile-workers-0",
          "nm-workers-negative", "voxelize-workers-0", "box-profile-mc-samples-negative",
-         "growth-z-powers-negative", "growth-mem-cap-negative", "poincare-mem-cap-0"],
+         "growth-z-powers-negative", "growth-mem-cap-negative", "poincare-mem-cap-0",
+         "c1-demo-random-negative-size", "c1-demo-bipartite-negative-side",
+         "c1-demo-ball-four-args", "c1-demo-search-4", "box-profile-workers-65",
+         "nm-workers-65", "voxelize-workers-100000"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
     try:
@@ -391,6 +403,62 @@ def test_bad_ranks_exit_2(tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+SEEDED = {
+    "isoperim": ["isoperim", "--k", "1", "--set", "box(2,2,2)", "--seed", "{}"],
+    "isoperim-blob": ["isoperim", "--k", "1", "--set", "random_blob(10,{})"],
+    "box-profile": BOX + ["--mc-samples", "100", "--seed", "{}"],
+    "nm": NM + NM4 + ["--seed", "{}"],
+    "voxelize": ["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.5", "--seed", "{}"],
+    "c1-random": ["c1", "--demo", "random:5,{}"],
+    "c1-search": ["c1", "--demo", "search:5,{}"],
+    "sparsest-cut": ["sparsest-cut", "--random", "5,{}"],
+    "duality": ["duality", "--demo", "search:5,{}"],
+    "poincare": ["poincare", "--k", "1", "--set", "box(2,2,2)", "--seed", "{}"],
+    "poincare-blob": ["poincare", "--k", "1", "--set", "random_blob(10,{})"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus-1", "2-to-the-64"])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeds_out_of_range_exit_2(tmp_path, capsys, name, seed):
+    # a seed reduced mod 2^64 would run another seed than the record names
+    argv = [arg.format(seed) for arg in SEEDED[name]]
+    try:
+        rc = main(argv + ["--out-dir", str(tmp_path)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be in 0..2^64-1" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_seed_range_ends_are_accepted(tmp_path):
+    for seed in (0, (1 << 64) - 1):
+        argv = [arg.format(seed) for arg in SEEDED["sparsest-cut"]] + ["--solver", "opt"]
+        assert main(argv + ["--out-dir", str(tmp_path / str(seed))]) == 0
+
+
+def test_pool_holds_at_most_one_process_per_payload(monkeypatch):
+    # a stand-in executor records the pool size and runs the map in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    assert parallel.block_map(abs, [-1, -2, -3], workers=parallel.MAX_WORKERS) == [1, 2, 3]
+    assert parallel.block_map(abs, list(range(-9, 0)), workers=4) == list(range(9, 0, -1))
+    assert sizes == [3, 4]
 
 
 def test_nm_steps_over_the_trace_budget_exit_3(tmp_path, capsys):

@@ -92,8 +92,12 @@ def test_negative_type_results():
 
 def test_negative_type_snowflake():
     # halving the exponent always lands inside the cone
-    ms = random_metric(7, seed=10, low=1.0, high=1.9)
-    assert is_negative_type(snowflake(ms, 0.5)).is_negative_type
+    low, high, rng = 1.0, 1.9, Rng(10)
+    d = np.zeros((7, 7))
+    for i in range(7):
+        for j in range(i + 1, 7):
+            d[i, j] = d[j, i] = low + (high - low) * rng.uniform()
+    assert is_negative_type(snowflake(MetricSpace(d), 0.5)).is_negative_type
 
 
 @given(SEEDS)
@@ -173,24 +177,28 @@ def test_point_cap():
 def test_search_generator():
     out = negative_type_with_distortion(5, 2, seed=90215)
     assert len(out) == 2
-    for ms, rep in out:
+    for ms in out:
         assert is_negative_type(ms).is_negative_type
-        assert rep.distortion >= 1.01
+        assert c1_distortion(ms, refine=False).distortion >= 1.01
+
+
+def test_search_refuses_four_points_at_once():
+    # every metric on at most 4 points embeds isometrically in L1
+    for n in (4, 1, -2):
+        with pytest.raises(ValidationError, match="at least 5 points"):
+            negative_type_with_distortion(n, 1, seed=1)
 
 
 def test_ball_metric_subsample():
-    full, pts = ball_metric(1, 2)
-    same, _ = ball_metric(1, 2, subsample=full.n)
-    assert np.array_equal(same.d, full.d)
-    sub, spts = ball_metric(1, 2, subsample=8, subsample_seed=3)
-    assert sub.n == 8 and len(spts) == 8
-    again, apts = ball_metric(1, 2, subsample=8, subsample_seed=3)
-    assert np.array_equal(sub.d, again.d) and spts == apts
+    full, _ = ball_metric(1, 2)
+    idx, same = full.subsample_farthest(full.n)
+    assert np.array_equal(idx, np.arange(full.n)) and np.array_equal(same.d, full.d)
+    keep, sub = full.subsample_farthest(8)
+    assert sub.n == 8 and keep[0] == 0  # the traversal starts at point 0
+    again, _ = full.subsample_farthest(8)
+    assert np.array_equal(keep, again)
     # kept pairwise distances are the originals
-    keep = [pts.index(p) for p in spts]
-    for a in range(8):
-        for b in range(8):
-            assert sub.d[a, b] == full.d[keep[a], keep[b]]
+    assert np.array_equal(sub.d, full.d[np.ix_(keep, keep)])
 
 
 def test_negative_type_embedding_replay():
@@ -202,7 +210,7 @@ def test_negative_type_embedding_replay():
 
 
 def test_snowflake_distortion_nonincreasing():
-    ms, _ = ball_metric(1, 2, subsample=8, subsample_seed=0)
+    _, ms = ball_metric(1, 2)[0].subsample_farthest(8)
     vals = [
         c1_distortion(snowflake(ms, e), refine=False).distortion
         for e in (0.1, 0.3, 0.5)

@@ -250,8 +250,9 @@ def test_matches_vertex_enumeration(seed):
         assert float(np.dot(res.duals, b)) == pytest.approx(res.objective, abs=1e-7)
 
 
-def test_iteration_cap():
-    res = solve_lp([-1, -1], [[1, 1]], [1], ["<="], max_iter=1)
+def test_iteration_cap(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+    res = solve_lp([-1, -1], [[1, 1]], [1], ["<="])
     assert res.status in ("optimal", "iteration_cap")
 
 

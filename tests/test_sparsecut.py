@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.embeddings import complete_bipartite_metric, negative_type_with_distortion
+from heislab.embeddings import (
+    c1_distortion,
+    complete_bipartite_metric,
+    negative_type_with_distortion,
+)
 from heislab.errors import ValidationError
 from heislab.sparsecut import (
     Instance,
@@ -130,8 +134,9 @@ def test_duality_harness_requires_negative_type():
 
 
 def test_duality_harness_mechanism():
-    (ms, rep), = negative_type_with_distortion(5, 1, seed=90215)
-    har = duality_harness(ms, rep)
+    (ms,) = negative_type_with_distortion(5, 1, seed=90215)
+    rep = c1_distortion(ms, refine=True)
+    har = duality_harness(ms)
     assert har.distortion == pytest.approx(rep.distortion)
     # cut optimum realizes the distortion and the metric is SDP-feasible
     assert har.opt.value == pytest.approx(har.distortion, abs=1e-8)
