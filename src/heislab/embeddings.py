@@ -32,6 +32,15 @@ _TOL = 1e-9  # MetricSpace's symmetry, diagonal and triangle slack, relative
 _NEG_TYPE_TOL = 1e-8  # least centered Gram eigenvalue still negative type, relative
 _SEARCH_FLOOR = 1.01  # least distortion a search draw must reach
 _SEARCH_TRIES = 6000  # draws before a search gives up
+_FACET_TOL = 1e-9  # cut-cone facet slack still read as distortion 1, relative
+# every facet of the cut cone CUT_n for n = 5, 6 is a hypermetric inequality
+# sum_{i<j} b_i b_j d_ij <= 0 with b a permutation of one of these (Deza &
+# Laurent, Geometry of Cuts and Metrics, 1997): 40 facets at n = 5, 210 at 6
+_FACET_PATTERNS = {
+    5: ((1, 1, -1, 0, 0), (1, 1, 1, -1, -1)),
+    6: ((1, 1, -1, 0, 0, 0), (1, 1, 1, -1, -1, 0), (2, 1, 1, -1, -1, -1),
+        (1, 1, 1, 1, -1, -2)),
+}
 
 
 def upper_triangle_text(*mats: np.ndarray) -> str:
@@ -368,6 +377,26 @@ def c1_distortion(ms: MetricSpace, refine: bool | None = None) -> DistortionRepo
     )
 
 
+def _cut_cone_facets(n: int) -> np.ndarray:
+    """(facets x pairs) matrix of CUT_n's facets for n in _FACET_PATTERNS:
+    row b holds b_i b_j at pair (i, j), with the b in lexicographic order."""
+    B = np.indices((5,) * n).reshape(n, -1).T - 2  # every b in {-2..2}^n
+    keys = np.sort(B, axis=1)
+    keep = np.zeros(len(B), dtype=bool)
+    for pattern in _FACET_PATTERNS[n]:
+        keep |= (keys == np.sort(pattern)).all(axis=1)
+    B = B[keep]
+    p, q = np.triu_indices(n, 1)
+    return (B[:, p] * B[:, q]).astype(float)
+
+
+def _in_cut_cone(ms: MetricSpace, facets: np.ndarray) -> bool:
+    """Does ms meet every row of ``facets``, the facet matrix of its cut
+    cone, to within _FACET_TOL of its largest distance, so that it embeds
+    in L1 with distortion 1?"""
+    return bool((facets @ ms.pair_distances()).max() <= _FACET_TOL * ms.d.max())
+
+
 def negative_type_with_distortion(n: int, count: int, seed: int) -> list[MetricSpace]:
     """Random negative-type spaces whose L1 distortion reaches 1.01.
 
@@ -375,16 +404,25 @@ def negative_type_with_distortion(n: int, count: int, seed: int) -> list[MetricS
     free) and keeps those certified to be of negative type whose float
     distortion LP lands at or above the floor.  Deterministic in ``seed``.
     Every metric on at most 4 points embeds isometrically in L1 (Deza &
-    Laurent, 1997), so no draw with n <= 4 can reach the floor.
+    Laurent, 1997), so no draw with n <= 4 can reach the floor.  For
+    n <= 6 a draw that meets every facet of the cut cone has distortion 1
+    and is dropped without an LP; the LP would drop it too.
     """
     if n <= 4:
         raise ValidationError(
             f"a search needs at least 5 points, got {n}: every metric on at "
             "most 4 points embeds isometrically in L1"
         )
+    if n > _C1_MAX_POINTS:
+        raise ValidationError(
+            f"a search supports at most {_C1_MAX_POINTS} points, got {n}"
+        )
+    facets = _cut_cone_facets(n) if n in _FACET_PATTERNS else None
     out: list[MetricSpace] = []
     for t in range(_SEARCH_TRIES):
         ms = random_metric(n, seed=Rng(seed).substream(t).seed)
+        if facets is not None and _in_cut_cone(ms, facets):
+            continue
         if not is_negative_type(ms).is_negative_type:
             continue
         if c1_distortion(ms, refine=False).distortion < _SEARCH_FLOOR:

@@ -236,22 +236,76 @@ def _laplacian(W: np.ndarray) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
+def _capacity_components(C: np.ndarray) -> np.ndarray:
+    """Per point, the least point of its component in the graph of the
+    pairs with positive capacity."""
+    n = len(C)
+    adj = (C > 0) | np.eye(n, dtype=bool)
+    label = np.arange(n)
+    while True:
+        new = np.where(adj, label[None, :], n).min(axis=1)
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def gl_sdp(inst: Instance, max_iter: int = 20000) -> SdpResult:
     """Negative-type relaxation: min <C, d> over d = squared distances of a
-    centered Gram matrix, unit total demand, triangle inequalities kept."""
+    centered Gram matrix, unit total demand, triangle inequalities kept.
+
+    When a demand pair lies across two components of the capacity graph,
+    the optimum is 0 and needs no iteration: the cut metric of the first
+    such pair's component is negative type, carries no capacity, and is
+    returned after 0 iterations.
+    """
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     n = inst.n
     LC = _laplacian(inst.C)
     LD = _laplacian(inst.D)
     ij, ik, jk = _triangles(n)
+    p, q = np.triu_indices(n, 1)
+
+    def result(K, it, converged, primal, dual):
+        K = (K + K.T) / 2.0
+        norm_val = float((LD * K).sum())
+        if norm_val <= 0:
+            raise ConvergenceError("splitting iteration collapsed the demand functional")
+        K = K / norm_val
+        diag = np.diag(K)
+        d = diag[:, None] + diag[None, :] - 2.0 * K
+        np.fill_diagonal(d, 0.0)
+        value = float((LC * K).sum())
+
+        dvec = d[p, q]
+        tri_viol = max(0.0, float((dvec[ij] - dvec[ik] - dvec[jk]).max(initial=0.0)))
+        ev = np.linalg.eigvalsh(K)
+        residuals = {
+            "primal": primal,
+            "dual": dual,
+            "triangle": tri_viol,
+            "normalization": abs(float((LD * K).sum()) - 1.0),
+            "min_eigenvalue": float(ev.min()),
+            "centering": float(np.abs(K @ np.ones(n)).max()),
+        }
+        return SdpResult(value, K, d, it, converged, residuals)
+
+    label = _capacity_components(inst.C)
+    cross = np.flatnonzero((inst.D[p, q] > 0) & (label[p] != label[q]))
+    if len(cross):
+        side = (label == label[p[cross[0]]]).astype(float)
+        v = side - side.sum() / n
+        res = result(np.outer(v, v), 0, True, 0.0, 0.0)
+        # exactly 0: d vanishes inside each component, C across them
+        res.value = float(inst.C[p, q] @ res.metric[p, q])
+        return res
+
     R = len(ij)
     nk = n * n
     dim = nk + R
 
     # row r of G reads the squared distance of pair r off vec(K), so a
     # triangle row d_ij - d_ik - d_jk is 2(K_ik + K_jk - K_ij - K_kk)
-    p, q = np.triu_indices(n, 1)
     at = np.arange(len(p))
     G = np.zeros((len(p), nk))
     G[at, p * n + p] = G[at, q * n + q] = 1.0
@@ -324,29 +378,10 @@ def gl_sdp(inst: Instance, max_iter: int = 20000) -> SdpResult:
                     rho /= 2.0
                     u *= 2.0
 
-    K = z[:nk].reshape(n, n)
-    K = (K + K.T) / 2.0
-    norm_val = float((LD * K).sum())
-    if norm_val <= 0:
-        raise ConvergenceError("splitting iteration collapsed the demand functional")
-    K = K / norm_val
-    diag = np.diag(K)
-    d = diag[:, None] + diag[None, :] - 2.0 * K
-    np.fill_diagonal(d, 0.0)
-    value = float((LC * K).sum())
-
-    dvec = d[p, q]
-    tri_viol = max(0.0, float((dvec[ij] - dvec[ik] - dvec[jk]).max(initial=0.0)))
-    ev = np.linalg.eigvalsh(K)
-    residuals = {
-        "primal": float(np.linalg.norm(x - z)),
-        "dual": float(rho * np.linalg.norm(z - z_old)),
-        "triangle": tri_viol,
-        "normalization": abs(float((LD * K).sum()) - 1.0),
-        "min_eigenvalue": float(ev.min()),
-        "centering": float(np.abs(K @ np.ones(n)).max()),
-    }
-    return SdpResult(value, K, d, it, converged, residuals)
+    return result(
+        z[:nk].reshape(n, n), it, converged,
+        float(np.linalg.norm(x - z)), float(rho * np.linalg.norm(z - z_old)),
+    )
 
 
 # -- the distortion-to-gap harness ------------------------------------------

@@ -250,6 +250,17 @@ def test_sparsest_cut_nonconverged_exit(tmp_path, capsys):
     assert captured.err == "error: sdp stopped at 5 iterations without meeting tolerances\n"
 
 
+def test_sparsest_cut_zero_ratio_instance(tmp_path, capsys):
+    # a capacity component separates a demand pair: the SDP is 0, exactly
+    rc = main(["sparsest-cut", "--random", "4,44067", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    obj = json.loads((tmp_path / "sparsest_cut.json").read_text())
+    assert obj["sdp"]["value"] == 0.0 and obj["sdp"]["iterations"] == 0
+    assert obj["sdp"]["converged"] is True
+    assert "sdp_gap" not in obj
+    assert capsys.readouterr().out == "sparsest-cut: n = 4, opt 0, lp 0, sdp 0\n"
+
+
 def test_duality_command(tmp_path):
     rc = main(["duality", "--demo", "path:4", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -351,6 +362,9 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
         (["c1", "--demo", "bipartite:-1,2"], "bipartite sides must be >= 1, got -1 and 2"),
         (["c1", "--demo", "ball:1,1,4096,3"], "demo ball takes ball:K,R, got 'ball:1,1,4096,3'"),
         (["c1", "--demo", "search:4,1"], "a search needs at least 5 points, got 4"),
+        (["c1", "--demo", "search:17,1"], "a search supports at most 16 points, got 17"),
+        (["c1", "--demo", "search:3000000,1"],
+         "a search supports at most 16 points, got 3000000"),
         (BOX + ["--mc-samples", "100", "--workers", "65"],
          "argument --workers: must be <= 64, got 65"),
         (NM + NM4 + ["--workers", "65"], "argument --workers: must be <= 64, got 65"),
@@ -368,7 +382,8 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "nm-workers-negative", "voxelize-workers-0", "box-profile-mc-samples-negative",
          "growth-z-powers-negative", "growth-mem-cap-negative", "poincare-mem-cap-0",
          "c1-demo-random-negative-size", "c1-demo-bipartite-negative-side",
-         "c1-demo-ball-four-args", "c1-demo-search-4", "box-profile-workers-65",
+         "c1-demo-ball-four-args", "c1-demo-search-4", "c1-demo-search-17",
+         "c1-demo-search-3000000", "box-profile-workers-65",
          "nm-workers-65", "voxelize-workers-100000"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from heislab.embeddings import (
     CutMeasure,
     MetricSpace,
+    _cut_cone_facets,
+    _in_cut_cone,
     ball_metric,
     c1_distortion,
     complete_bipartite_metric,
@@ -187,6 +189,44 @@ def test_search_refuses_four_points_at_once():
     for n in (4, 1, -2):
         with pytest.raises(ValidationError, match="at least 5 points"):
             negative_type_with_distortion(n, 1, seed=1)
+
+
+def test_search_refuses_more_points_than_the_lp_takes():
+    # refused before the first draw, so a huge size allocates nothing
+    for n in (17, 3_000_000):
+        with pytest.raises(ValidationError, match=f"at most 16 points, got {n}"):
+            negative_type_with_distortion(n, 1, seed=1)
+
+
+@pytest.mark.parametrize("n,rows", [(5, 40), (6, 210)])
+def test_cut_cone_facet_table(n, rows):
+    F = _cut_cone_facets(n)
+    pairs = n * (n - 1) // 2
+    assert F.shape == (rows, pairs) and len(np.unique(F, axis=0)) == rows
+    delta = cut_pair_matrix(np.arange(1, 1 << (n - 1)), n)
+    slack = F @ delta  # integers, so exact
+    assert slack.max() == 0.0  # every row holds on every cut
+    for row in slack:
+        # the cuts where a row is tight span a hyperplane: each row is a facet
+        assert np.linalg.matrix_rank(delta[:, row == 0.0]) == pairs - 1
+    # the rows are every facet because CUT_5 has 40 facets and CUT_6 210
+    # (Deza & Laurent, Geometry of Cuts and Metrics, 1997)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cut_cone_screen_agrees_with_the_lp(n):
+    # the float distortion LP referees the screen on 1,000 draws
+    facets = _cut_cone_facets(n)
+    outside = 0
+    for t in range(1000):
+        ms = random_metric(n, seed=7000 * n + t)
+        distortion = c1_distortion(ms, refine=False).distortion
+        if _in_cut_cone(ms, facets):
+            assert distortion <= 1.0 + 1e-9, t
+        else:
+            assert distortion > 1.0 + 1e-12, t
+            outside += 1
+    assert outside > 0
 
 
 def test_ball_metric_subsample():

@@ -118,6 +118,54 @@ def test_sdp_iteration_flagging():
     assert gl_sdp(inst, max_iter=1).iterations == 1
 
 
+# the sandwich seeds whose capacity graph separates a demand pair: ratio 0
+ZERO_RATIO = [(4, s) for s in (44041, 44044, 44046, 44051, 44055, 44067, 44068,
+                               44075, 44078, 44082)] + [(6, 46068)]
+
+
+def assert_zero_certificate(inst, res):
+    assert res.value == 0.0 and res.iterations == 0 and res.converged
+    K, d = res.gram, res.metric
+    assert np.linalg.eigvalsh(K).min() >= -1e-12
+    assert np.abs(K.sum(axis=1)).max() <= 1e-12
+    iu = np.triu_indices(inst.n, 1)
+    assert abs(float(inst.D[iu] @ d[iu]) - 1.0) <= 1e-12
+    assert float(inst.C[iu] @ d[iu]) == 0.0
+    triangle = max(d[i, j] - d[i, k] - d[k, j] for i in range(inst.n)
+                   for j in range(inst.n) for k in range(inst.n))
+    assert triangle <= 1e-12 and res.residuals["triangle"] <= 1e-12
+
+
+@pytest.mark.parametrize("n,seed", ZERO_RATIO, ids=[f"{n}-{s}" for n, s in ZERO_RATIO])
+def test_sdp_zero_ratio_is_exact(n, seed):
+    inst = random_instance(n, seed=seed)
+    assert opt_bruteforce(inst).value == 0.0
+    assert_zero_certificate(inst, gl_sdp(inst))
+
+
+def test_sdp_zero_ratio_isolated_point():
+    # point 3 has no capacity; the first demand pair across is (1, 3), so
+    # the certificate is the cut of 1's component {0, 1, 2}
+    C = np.ones((4, 4)) - np.eye(4)
+    C[3, :] = C[:, 3] = 0.0
+    D = np.zeros((4, 4))
+    D[1, 3] = D[3, 1] = 2.0
+    D[0, 2] = D[2, 0] = 1.0
+    inst = Instance(C, D)
+    res = gl_sdp(inst)
+    assert_zero_certificate(inst, res)
+    assert np.all(res.metric[:3, :3] == 0.0)
+    assert res.metric[:3, 3] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_sdp_connected_instance_still_iterates():
+    inst = random_instance(6, seed=11)
+    reach = np.linalg.matrix_power((inst.C > 0) + np.eye(inst.n), inst.n - 1)
+    assert np.all(reach > 0)  # the capacity graph is connected
+    res = gl_sdp(inst)
+    assert res.converged and res.iterations > 0 and res.value > 0
+
+
 def test_integrality_gap_report():
     inst = random_instance(4, seed=2)
     opt = opt_bruteforce(inst).value
