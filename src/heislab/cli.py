@@ -38,6 +38,7 @@ from .continuum import (
     voxelize,
 )
 from .embeddings import (
+    _DEMO_MAX_POINTS,
     MetricSpace,
     ball_metric,
     c1_distortion,
@@ -56,6 +57,7 @@ from .errors import (
     require_positive,
     require_seed,
 )
+from .group import row_text
 from .lines import nonmonotonicity
 from .parallel import MAX_WORKERS, one_blas_thread, shared_pool
 from .perimeter import (
@@ -124,7 +126,8 @@ def cmd_growth(args, out) -> str:
             zrows.append([str(t), str(z_power_distance(args.k, t, mem_cap_mib=args.mem_cap_mib))])
         out.csv("z_powers.csv", "t,distance", zrows)
     if args.dump_ball:
-        out.lines("ball.txt", (f"{el.to_text()} {dist}" for el, dist in b.elements()))
+        pts = zip(b.points.rows.tolist(), b.dists.tolist())
+        out.lines("ball.txt", (f"{row_text(b.k, row)} {d}" for row, d in pts))
     r, count, norm = rows[-1]
     return f"growth: |B_{r}| = {count} at k={args.k}, normalized {norm:.6g}"
 
@@ -304,6 +307,9 @@ def _demo_metric(text: str) -> MetricSpace:
         a = []
     if len(a) != len(_DEMOS[name].split(",")):
         raise ValidationError(f"demo {name} takes {name}:{_DEMOS[name]}, got {text!r}")
+    size = {"path": a[0], "cycle": a[0], "random": a[0], "bipartite": sum(a)}.get(name, 0)
+    if size > _DEMO_MAX_POINTS:
+        raise ValidationError(f"demo metrics have at most {_DEMO_MAX_POINTS} points, got {size}")
     if name == "path":
         return path_metric(a[0])
     if name == "cycle":

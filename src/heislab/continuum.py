@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError, require_positive
 from .parallel import block_map
 from .perimeter import FiniteSet
-from .rng import Rng, substream_seeds, uniform_matrix
+from .rng import substream_seeds, uniform_matrix
 
 _BLOCK = 1 << 14
 
@@ -251,8 +251,7 @@ class ProfilePoint:
 def _mc_block(payload) -> int:
     region, lo, hi, tau, m, seed, idx = payload
     dim = len(lo)
-    rng = Rng(seed).substream(idx)
-    U = rng.uniforms(m * dim).reshape(m, dim)
+    U = uniform_matrix(substream_seeds(seed, idx, 1), m * dim).reshape(m, dim)
     pts = lo + (hi - lo) * U
     shifted = pts.copy()
     shifted[:, dim - 1] -= tau
@@ -296,7 +295,7 @@ def mc_vertical_profile(
     """
     out = []
     for si, s in enumerate(s_values):
-        sub = Rng(seed).substream(1_000_003 * si).seed
+        sub = int(substream_seeds(seed, 1_000_003 * si, 1)[0])
         out.append(_mc_one_scale(region, float(s), samples, sub, workers))
     return out
 

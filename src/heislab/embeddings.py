@@ -24,14 +24,16 @@ import numpy as np
 from .cayley import ball
 from .errors import ConvergenceError, ValidationError
 from .group import DiscreteElement
-from .rng import Rng
+from .rng import Rng, substream_seeds, uniform_matrix
 from .simplex import solve_lp
 
 _C1_MAX_POINTS = 16
+_DEMO_MAX_POINTS = 1024  # largest built-in metric; MetricSpace's check is O(n^3)
 _TOL = 1e-9  # MetricSpace's symmetry, diagonal and triangle slack, relative
 _NEG_TYPE_TOL = 1e-8  # least centered Gram eigenvalue still negative type, relative
 _SEARCH_FLOOR = 1.01  # least distortion a search draw must reach
 _SEARCH_TRIES = 6000  # draws before a search gives up
+_SEARCH_BLOCK = 500  # draws screened at a time; divides _SEARCH_TRIES
 _FACET_TOL = 1e-9  # cut-cone facet slack still read as distortion 1, relative
 # every facet of the cut cone CUT_n for n = 5, 6 is a hypermetric inequality
 # sum_{i<j} b_i b_j d_ij <= 0 with b a permutation of one of these (Deza &
@@ -74,13 +76,16 @@ def parse_upper_triangles(text: str, count: int) -> list[np.ndarray]:
         vals = np.array([float(t) for t in toks[1:]]).reshape(count, need)
     except ValueError:
         raise ValidationError("non-numeric matrix entry") from None
+    return [_symmetric(n, row) for row in vals]
+
+
+def _symmetric(n: int, row: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix with zero diagonal whose upper triangle,
+    in lexicographic pair order, is ``row``."""
+    M = np.zeros((n, n))
     p, q = np.triu_indices(n, 1)
-    mats = []
-    for row in vals:
-        M = np.zeros((n, n))
-        M[p, q] = M[q, p] = row
-        mats.append(M)
-    return mats
+    M[p, q] = M[q, p] = row
+    return M
 
 
 def triangle_slacks(d: np.ndarray) -> np.ndarray:
@@ -185,12 +190,7 @@ def random_metric(n: int, seed: int) -> MetricSpace:
     """Random metric with entries uniform in [1, 2], so triangles hold."""
     if n < 1:
         raise ValidationError(f"a metric needs at least one point, got {n}")
-    rng = Rng(seed)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = 1.0 + rng.uniform()
-    return MetricSpace(d)
+    return MetricSpace(_symmetric(n, 1.0 + Rng(seed).uniforms(n * (n - 1) // 2)))
 
 
 def ball_metric(k: int, r: int) -> tuple[MetricSpace, list[DiscreteElement]]:
@@ -201,6 +201,10 @@ def ball_metric(k: int, r: int) -> tuple[MetricSpace, list[DiscreteElement]]:
     Returns the metric space and the points in the ball's coordinate order.
     """
     small = ball(k, r)
+    if small.size > _DEMO_MAX_POINTS:
+        raise ValidationError(
+            f"a ball metric has at most {_DEMO_MAX_POINTS} points, got {small.size}"
+        )
     big = ball(k, 2 * r)
     pts = [el for el, _ in small.elements()]
     n = len(pts)
@@ -390,23 +394,25 @@ def _cut_cone_facets(n: int) -> np.ndarray:
     return (B[:, p] * B[:, q]).astype(float)
 
 
-def _in_cut_cone(ms: MetricSpace, facets: np.ndarray) -> bool:
-    """Does ms meet every row of ``facets``, the facet matrix of its cut
-    cone, to within _FACET_TOL of its largest distance, so that it embeds
-    in L1 with distortion 1?"""
-    return bool((facets @ ms.pair_distances()).max() <= _FACET_TOL * ms.d.max())
+def _in_cut_cone(D: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """Per row of D, the pair distances of one metric: does it meet every
+    row of ``facets``, the facet matrix of its cut cone, to within
+    _FACET_TOL of its largest distance, so that it embeds in L1 with
+    distortion 1?"""
+    return (D @ facets.T).max(axis=1) <= _FACET_TOL * D.max(axis=1)
 
 
 def negative_type_with_distortion(n: int, count: int, seed: int) -> list[MetricSpace]:
     """Random negative-type spaces whose L1 distortion reaches 1.01.
 
-    Draws metrics with entries in [1, 2] (triangle inequalities hold for
-    free) and keeps those certified to be of negative type whose float
-    distortion LP lands at or above the floor.  Deterministic in ``seed``.
-    Every metric on at most 4 points embeds isometrically in L1 (Deza &
-    Laurent, 1997), so no draw with n <= 4 can reach the floor.  For
-    n <= 6 a draw that meets every facet of the cut cone has distortion 1
-    and is dropped without an LP; the LP would drop it too.
+    Draws up to _SEARCH_TRIES metrics with entries in [1, 2] (triangle
+    inequalities hold for free), _SEARCH_BLOCK at a time, and keeps in draw
+    order those certified to be of negative type whose float distortion LP
+    lands at or above the floor.  Deterministic in ``seed``.  Every metric
+    on at most 4 points embeds isometrically in L1 (Deza & Laurent, 1997),
+    so no draw with n <= 4 can reach the floor.  For n <= 6 the draws of a
+    block that meet every facet of the cut cone have distortion 1 and are
+    dropped together without an LP; the LP would drop them too.
     """
     if n <= 4:
         raise ValidationError(
@@ -419,17 +425,21 @@ def negative_type_with_distortion(n: int, count: int, seed: int) -> list[MetricS
         )
     facets = _cut_cone_facets(n) if n in _FACET_PATTERNS else None
     out: list[MetricSpace] = []
-    for t in range(_SEARCH_TRIES):
-        ms = random_metric(n, seed=Rng(seed).substream(t).seed)
-        if facets is not None and _in_cut_cone(ms, facets):
-            continue
-        if not is_negative_type(ms).is_negative_type:
-            continue
-        if c1_distortion(ms, refine=False).distortion < _SEARCH_FLOOR:
-            continue
-        out.append(ms)
-        if len(out) == count:
-            return out
+    for start in range(0, _SEARCH_TRIES, _SEARCH_BLOCK):
+        # draw t is random_metric(n, substream seed t of seed)
+        seeds = substream_seeds(seed, start, _SEARCH_BLOCK)
+        D = 1.0 + uniform_matrix(seeds, n * (n - 1) // 2)
+        if facets is not None:
+            D = D[~_in_cut_cone(D, facets)]
+        for row in D:
+            ms = MetricSpace(_symmetric(n, row))
+            if not is_negative_type(ms).is_negative_type:
+                continue
+            if c1_distortion(ms, refine=False).distortion < _SEARCH_FLOOR:
+                continue
+            out.append(ms)
+            if len(out) == count:
+                return out
     raise ValidationError(
         f"only {len(out)} of {count} draws met the distortion floor"
     )

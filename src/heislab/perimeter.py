@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ResourceCapError, ValidationError, require_seed
 from .group import DiscreteElement, row_text
-from .rng import Rng
+from .rng import Rng, substream_seeds
 
 _EPS = 2.0 ** -52
 
@@ -295,7 +295,7 @@ def random_blob(k: int, size: int, seed: int) -> FiniteSet:
     """
     if size < 1:
         raise ValidationError("blob size must be positive")
-    rng = Rng(seed)
+    u = Rng(seed).stream()
     from collections import deque
 
     start = (0,) * (2 * k + 1)
@@ -305,7 +305,7 @@ def random_blob(k: int, size: int, seed: int) -> FiniteSet:
         cand = frontier.popleft()
         if cand in members:
             continue
-        if rng.uniform() < 0.7:
+        if next(u) < 0.7:
             members.add(cand)
             for nb in _neighbor_tuples(k, cand):
                 if nb not in members:
@@ -375,10 +375,8 @@ def default_corpus(k: int = 2, seed: int = 20260816):
         add(f"ball({r})", ball_set(k, r))
     for h in (1, 2, 3, 4, 5, 8, 10, 16, 25, 32, 50, 64, 100, 128, 200, 256, 400, 512, 750, 1000):
         add(f"column({h})", column_set(k, h))
-    rng = Rng(seed)
     sizes = (20, 50, 100, 200, 400, 800)
-    for j in range(140):
-        blob_seed = rng.substream(j).seed
+    for j, blob_seed in enumerate(substream_seeds(seed, 0, 140).tolist()):
         size = sizes[j % len(sizes)]
         add(f"random_blob({size},{blob_seed})", random_blob(k, size, blob_seed))
     return out

@@ -1,9 +1,10 @@
 """Seeded, byte-exact pseudo-random numbers.
 
 Every randomized computation in this package draws from the counter
-generator defined here, so that a (seed, stream, counter) triple fully
-determines each output bit regardless of batch size, worker count, or
-platform.  The generator is the splitmix64 xor-shift-multiply mixer:
+generator defined here, so that a (seed, counter) pair fully determines
+each output bit regardless of batch size, worker count, or platform.
+The generator is splitmix64 (Steele, Lea & Flood, OOPSLA 2014), whose
+xor-shift-multiply mixer ``_splitmix64`` is the one kernel here:
 
     state(i) = (seed + (i + 1) * 0x9E3779B97F4A7C15) mod 2^64
     z = state(i)
@@ -11,10 +12,21 @@ platform.  The generator is the splitmix64 xor-shift-multiply mixer:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB   mod 2^64
     out(i) = z ^ (z >> 31)
 
-A uniform double in [0, 1) is (out(i) >> 11) * 2^-53.  Stream splitting
-hashes the parent seed with the stream index through the same mixer:
-child_seed = out_{seed}(2^62 + stream_index), which keeps distinct
-streams on disjoint counter sequences for all practical purposes.
+A uniform double in [0, 1) is (out(i) >> 11) * 2^-53.  The kernel runs on
+numpy arrays of counters, so every draw is made in blocks:
+
+* ``Rng(seed).uniforms(n)`` takes the next n counters of one stream, and
+  ``Rng(seed).stream()`` yields them one at a time for loops that consume
+  an unknown number of draws, drawing ``_STREAM_BLOCK`` at a time;
+* ``substream_seeds(seed, start, n)`` gives the seeds of child streams
+  start..start+n-1: child_seed(j) = out_{seed}(2^62 + j), which keeps
+  distinct streams on disjoint counter sequences for all practical
+  purposes;
+* ``uniform_matrix(seeds, m)`` gives the first m uniforms of many
+  streams at once.
+
+Output i does not depend on how the counters are batched, so a block of
+any size gives the bits that one draw at a time would.
 """
 
 from __future__ import annotations
@@ -26,77 +38,59 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _STREAM_BASE = 1 << 62
+_STREAM_BLOCK = 1024  # uniforms that Rng.stream draws at a time
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def raw64(seed: int, index: int) -> int:
-    """The index-th 64-bit output for this seed (pure function)."""
-    return _mix64((seed + (index + 1) * _GOLDEN) & _MASK)
-
-
-def _raw64_block(seed: int, start: int, n: int) -> np.ndarray:
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+def _splitmix64(seeds, counters: np.ndarray) -> np.ndarray:
+    """out(i) of the stream seeded by ``seeds`` at each counter i; seeds and
+    counters are uint64 and broadcast against each other."""
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        # state = seed + (i + 1) * golden, with the one golden added per seed
+        z = (seeds + np.uint64(_GOLDEN)) + counters * np.uint64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
 
-def substream_seeds(seed: int, start: int, n: int) -> np.ndarray:
-    """Seeds of substreams start..start+n-1, identical to Rng.substream."""
-    return _raw64_block(seed, _STREAM_BASE + start, n)
-
-
-def uniform_matrix(seeds: np.ndarray, m: int) -> np.ndarray:
-    """Row i holds the first m uniforms of the stream seeded by seeds[i].
-
-    Bit-identical to Rng(seeds[i]).uniforms(m), vectorized over streams.
-    """
-    idx = np.arange(1, m + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = seeds.astype(np.uint64)[:, None] + idx[None, :] * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Uniform doubles in [0, 1) from the top 53 bits of each output."""
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-class Rng:
-    """Sequential view over the counter generator.
+def substream_seeds(seed: int, start: int, n: int) -> np.ndarray:
+    """Seeds of the child streams start..start+n-1 of ``seed``."""
+    counters = np.arange(_STREAM_BASE + start, _STREAM_BASE + start + n, dtype=np.uint64)
+    return _splitmix64(np.uint64(seed), counters)
 
-    Instances are cheap; ``substream(i)`` derives an independent child
-    whose outputs do not depend on how much the parent has consumed.
-    """
+
+def uniform_matrix(seeds: np.ndarray, m: int) -> np.ndarray:
+    """Row i holds the first m uniforms of the stream seeded by seeds[i]:
+    Rng(seeds[i]).uniforms(m), vectorized over streams."""
+    seeds = seeds.astype(np.uint64)[:, None]
+    return _unit(_splitmix64(seeds, np.arange(m, dtype=np.uint64)))
+
+
+class Rng:
+    """Sequential view of one stream: each draw takes the next counters."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK
         self.counter = 0
 
-    def substream(self, stream_index: int) -> "Rng":
-        if stream_index < 0:
-            raise ValueError("stream index must be nonnegative")
-        return Rng(raw64(self.seed, _STREAM_BASE + stream_index))
-
-    def u64(self) -> int:
-        out = raw64(self.seed, self.counter)
-        self.counter += 1
-        return out
-
-    def uniform(self) -> float:
-        return (self.u64() >> 11) * 2.0 ** -53
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1), consumed as one block."""
-        block = _raw64_block(self.seed, self.counter, n)
+        counters = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
-        return (block >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return _unit(_splitmix64(np.uint64(self.seed), counters))
+
+    def stream(self):
+        """The stream's uniforms one at a time, as Python floats; each block
+        of _STREAM_BLOCK is consumed whole once its first draw is read."""
+        while True:
+            yield from self.uniforms(_STREAM_BLOCK).tolist()
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on [0, bound), by 53-bit scaling."""

@@ -40,6 +40,8 @@ from .rng import Rng
 from .simplex import solve_lp
 
 _OPT_MAX_POINTS = 24
+_LP_MAX_POINTS = 16  # lp_relaxation took 44 s at 16 points
+_SDP_MAX_POINTS = 20  # gl_sdp's KKT system grows as n^6: 0.5 GiB at 20 points
 _OPT_CHUNK = 1 << 18  # cut sides weighed per vectorized block
 _CAP_DENSITY, _DEM_DENSITY = 0.7, 0.5  # random_instance's chance of each entry
 _TRIANGLE_TOL = 1e-9  # a triangle row is added once violated by this, relative
@@ -91,14 +93,19 @@ def random_instance(n: int, seed: int) -> Instance:
     with chance 0.5, each weight uniform in (0,1)."""
     if n < 2:
         raise ValidationError("instance needs at least two points")
-    rng = Rng(seed)
+    if n > _OPT_MAX_POINTS:
+        raise ValidationError(
+            f"random instances have at most {_OPT_MAX_POINTS} points, the most "
+            f"any solver takes, got {n}"
+        )
+    u = Rng(seed).stream()
     C = np.zeros((n, n))
     D = np.zeros((n, n))
     for M, dens in ((C, _CAP_DENSITY), (D, _DEM_DENSITY)):
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.uniform() < dens:
-                    M[i, j] = M[j, i] = rng.uniform()
+                if next(u) < dens:
+                    M[i, j] = M[j, i] = next(u)
     if D.sum() == 0:
         D[0, 1] = D[1, 0] = 1.0
     return Instance(C, D)
@@ -178,6 +185,10 @@ def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def lp_relaxation(inst: Instance) -> LpRelaxResult:
     """min <C, d> over metrics d with <D, d> = 1, by lazy triangle rows."""
     n = inst.n
+    if n > _LP_MAX_POINTS:
+        raise ValidationError(
+            f"LP relaxation supports at most {_LP_MAX_POINTS} points, got {n}"
+        )
     iu = np.triu_indices(n, 1)
     cvec = inst.C[iu]
     dvec = inst.D[iu]
@@ -261,6 +272,10 @@ def gl_sdp(inst: Instance, max_iter: int = 20000) -> SdpResult:
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     n = inst.n
+    if n > _SDP_MAX_POINTS:
+        raise ValidationError(
+            f"SDP relaxation supports at most {_SDP_MAX_POINTS} points, got {n}"
+        )
     LC = _laplacian(inst.C)
     LD = _laplacian(inst.D)
     ij, ik, jk = _triangles(n)

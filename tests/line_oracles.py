@@ -13,6 +13,7 @@ import numpy as np
 from heislab.errors import ValidationError
 from heislab.lines import HorizontalLine, IntervalHistogram
 from heislab.rng import Rng
+from rng_oracles import substream_seed
 
 
 def normals(rng: Rng, n: int) -> np.ndarray:
@@ -33,7 +34,7 @@ def lines_at(k: int, R: float, count: int, seed: int, start: int) -> list:
     out = []
     m = 2 * k
     for i in range(start, start + count):
-        rng = Rng(seed).substream(i)
+        rng = Rng(substream_seed(seed, i))
         u = rng.uniforms(2 * m + 4)
         expo = -np.log(1.0 - u[:m])  # exponentials for the l1 direction
         signs = np.where(u[m : 2 * m] < 0.5, 1.0, -1.0)

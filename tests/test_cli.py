@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,18 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
         (NM + NM4 + ["--workers", "65"], "argument --workers: must be <= 64, got 65"),
         (["voxelize", "--region", "quasi-ball:k=1,R=2", "--h", "0.5", "--workers", "100000"],
          "argument --workers: must be <= 64, got 100000"),
+        (["c1", "--demo", "cycle:3000000"], "demo metrics have at most 1024 points, got 3000000"),
+        (["c1", "--demo", "path:1025"], "demo metrics have at most 1024 points, got 1025"),
+        (["c1", "--demo", "random:1025,1"], "demo metrics have at most 1024 points, got 1025"),
+        (["c1", "--demo", "bipartite:1000,25"], "demo metrics have at most 1024 points, got 1025"),
+        (["c1", "--demo", "ball:1,9", "--subsample", "5"],
+         "a ball metric has at most 1024 points, got 2845"),
+        (["sparsest-cut", "--random", "3000000,1", "--solver", "opt"],
+         "random instances have at most 24 points, the most any solver takes, got 3000000"),
+        (["sparsest-cut", "--random", "17,1", "--solver", "lp"],
+         "LP relaxation supports at most 16 points, got 17"),
+        (["sparsest-cut", "--random", "21,1", "--solver", "sdp"],
+         "SDP relaxation supports at most 20 points, got 21"),
     ],
     ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
          "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan",
@@ -384,14 +397,21 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "c1-demo-random-negative-size", "c1-demo-bipartite-negative-side",
          "c1-demo-ball-four-args", "c1-demo-search-4", "c1-demo-search-17",
          "c1-demo-search-3000000", "box-profile-workers-65",
-         "nm-workers-65", "voxelize-workers-100000"],
+         "nm-workers-65", "voxelize-workers-100000", "c1-demo-cycle-3000000",
+         "c1-demo-path-1025", "c1-demo-random-1025", "c1-demo-bipartite-1025",
+         "c1-demo-ball-2845", "sparsest-opt-3000000", "sparsest-lp-17", "sparsest-sdp-21"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
+    tracemalloc.start()
     try:
         rc = main(argv + ["--out-dir", str(tmp_path)])
     except SystemExit as exc:
         rc = exc.code
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     assert rc == 2
+    assert peak < 64 << 20  # a size cap refuses before it allocates
     out, err = capsys.readouterr()
     assert out == ""
     if err.startswith("usage: "):  # the parser refused a flag: "heislab CMD: error: ..."

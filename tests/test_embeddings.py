@@ -94,23 +94,22 @@ def test_negative_type_results():
 
 def test_negative_type_snowflake():
     # halving the exponent always lands inside the cone
-    low, high, rng = 1.0, 1.9, Rng(10)
+    low, high = 1.0, 1.9
     d = np.zeros((7, 7))
-    for i in range(7):
-        for j in range(i + 1, 7):
-            d[i, j] = d[j, i] = low + (high - low) * rng.uniform()
+    p, q = np.triu_indices(7, 1)
+    d[p, q] = d[q, p] = low + (high - low) * Rng(10).uniforms(21)
     assert is_negative_type(snowflake(MetricSpace(d), 0.5)).is_negative_type
 
 
 @given(SEEDS)
 @settings(max_examples=20, deadline=None)
 def test_cut_measure_l1_identity(seed):
-    rng = Rng(seed)
+    u = Rng(seed).stream()
     n = 5
     entries = []
     for mask in range(1, 1 << (n - 1)):
-        if rng.uniform() < 0.3:
-            entries.append((mask, float(rng.uniform())))
+        if next(u) < 0.3:
+            entries.append((mask, next(u)))
     cm = CutMeasure(n, entries)
     L = cm.l1_matrix()
     for i in range(n):
@@ -216,17 +215,40 @@ def test_cut_cone_facet_table(n, rows):
 @pytest.mark.parametrize("n", [5, 6])
 def test_cut_cone_screen_agrees_with_the_lp(n):
     # the float distortion LP referees the screen on 1,000 draws
-    facets = _cut_cone_facets(n)
+    spaces = [random_metric(n, seed=7000 * n + t) for t in range(1000)]
+    inside = _in_cut_cone(np.array([ms.pair_distances() for ms in spaces]), _cut_cone_facets(n))
     outside = 0
-    for t in range(1000):
-        ms = random_metric(n, seed=7000 * n + t)
+    for t, ms in enumerate(spaces):
         distortion = c1_distortion(ms, refine=False).distortion
-        if _in_cut_cone(ms, facets):
+        if inside[t]:
             assert distortion <= 1.0 + 1e-9, t
         else:
             assert distortion > 1.0 + 1e-12, t
             outside += 1
     assert outside > 0
+
+
+@pytest.mark.parametrize("b", [(2, 1, 1, -1, -1, -1), (1, 1, 1, 1, -1, -2)])
+def test_cut_cone_screen_sees_the_classes_no_draw_reaches(b):
+    # random_metric draws leave CUT_6 only across (1,1,1,-1,-1,0) rows, so
+    # step just outside one row of each of the other two classes
+    n = 6
+    p, q = np.triu_indices(n, 1)
+    row = np.multiply.outer(b, b)[p, q].astype(float)
+    delta = cut_pair_matrix(np.arange(1, 1 << (n - 1)), n)
+    x = delta[:, row @ delta == 0.0].sum(axis=1)  # the sum of the row's tight cuts
+    F = _cut_cone_facets(n)
+    others = F[(F != row).any(axis=1)]
+    assert (others @ x < 0).all()  # x lies inside the row's facet only
+    step = others @ row
+    eps = 0.5 * (-(others @ x)[step > 0] / step[step > 0]).min()
+    d = np.zeros((n, n))
+    d[p, q] = d[q, p] = x + eps * row
+    ms = MetricSpace(d)  # the triangle rows are among the others, so still a metric
+    y = ms.pair_distances()
+    assert row @ y > 0 and (others @ y < 0).all()
+    assert not _in_cut_cone(y[None, :], F)[0]
+    assert c1_distortion(ms, refine=False).distortion > 1.0 + 1e-12
 
 
 def test_ball_metric_subsample():
