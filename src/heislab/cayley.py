@@ -1,29 +1,29 @@
 """Cayley-graph computations: balls, word distances, growth tables.
 
 The graph has the 4k standard generators as edge moves, acting by right
-multiplication.  Frontier expansion is vectorized: a level is a block of
-coordinate rows (x_1..x_k, y_1..y_k, w), neighbors come from
+multiplication.  Every element is an int64 coordinate row (x_1..x_k,
+y_1..y_k, w), the identity the zero row.  Frontier expansion is
+vectorized: a level is a block of rows, neighbors come from
 perimeter.generator_step, and dedup/visited tests run on packed int64
 keys over the search window.  A finished ball is a perimeter.FiniteSet
 with a distance per row, so members are reported in lexicographic
-coordinate order.
+coordinate order; its ``points.locate`` looks up a block of rows.
 
 Word distances up to radius ONE_SIDED_MAX come from one BFS from the
 identity over the window of ball(); _ball_distances answers a whole
 block of rows from that one search.  Beyond that radius word_distance
-meets in the middle, one element at a time.
+meets in the middle, one row at a time.  word_upper_bound bounds a whole
+block of rows from explicit spellings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .group import DiscreteElement, identity
-from .perimeter import FiniteSet, _pack, check_key_window, element_from_row, generator_step
+from .perimeter import FiniteSet, _pack, check_key_window, generator_step
 
 
 # largest radius answered by the one-sided BFS from the identity
@@ -33,12 +33,12 @@ ONE_SIDED_MAX = 8
 class _Side:
     """One direction of a (possibly bidirectional) BFS."""
 
-    def __init__(self, k: int, start: DiscreteElement, lows, spans):
+    def __init__(self, k: int, start, lows, spans):
         self.k = k
         self.lows = np.asarray(lows, dtype=np.int64)
         self.spans = np.asarray(spans, dtype=np.int64)
         check_key_window(self.spans)
-        self.frontier = np.array([start.coords()], dtype=np.int64)
+        self.frontier = np.array([start], dtype=np.int64)
         self.levels = [self.frontier]
         self.radius = 0
         keys = _pack(self.frontier, self.lows, self.spans)
@@ -100,15 +100,6 @@ class Ball:
         """counts[r] = number of elements at distance exactly r."""
         return np.bincount(self.dists, minlength=self.radius + 1)
 
-    def distance(self, el: DiscreteElement):
-        """d_W(1, el) if el lies in the ball, else None."""
-        pos = int(self.points.locate(np.array([el.coords()], dtype=np.int64))[0])
-        return None if pos < 0 else int(self.dists[pos])
-
-    def elements(self):
-        for row, d in zip(self.points.rows, self.dists):
-            yield element_from_row(self.k, row), int(d)
-
 
 def _ball_window(k: int, r: int):
     """(lows, spans) of a coordinate window holding all of B_r."""
@@ -131,7 +122,7 @@ def _ball_distances(k: int, rows, r_max: int, mem_cap_mib: float = 4096.0) -> np
     lows, spans = _ball_window(k, r_max)
     inside = np.all((rows >= lows) & (rows < lows + spans), axis=1)
     keys = _pack(rows[inside], lows, spans)
-    side = _Side(k, identity(k), lows, spans)
+    side = _Side(k, np.zeros(2 * k + 1), lows, spans)
     pending = keys[side.dist_of(keys) < 0]
     while len(pending) and side.radius < r_max:
         if side.bytes_estimate() > cap:
@@ -154,7 +145,7 @@ def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
     if r < 0:
         raise ValidationError("radius must be >= 0")
     cap = int(mem_cap_mib * (1 << 20))
-    side = _Side(k, identity(k), *_ball_window(k, r))
+    side = _Side(k, np.zeros(2 * k + 1), *_ball_window(k, r))
     for _ in range(r):
         if side.bytes_estimate() > cap:
             raise ResourceCapError("memory cap exceeded during ball BFS")
@@ -177,9 +168,9 @@ def growth_table(b: Ball):
     return rows
 
 
-def _bounds_for_pair(k: int, g: DiscreteElement, r: int):
-    """A coordinate window certain to contain both BFS sides to radius r."""
-    gx = np.asarray(g.coords(), dtype=np.int64)
+def _bounds_for_pair(k: int, gx: np.ndarray, r: int):
+    """A coordinate window certain to contain both BFS sides, from the
+    identity and from the row gx, to radius r."""
     lo = np.minimum(0, gx)
     hi = np.maximum(0, gx)
     lows = lo.copy()
@@ -193,27 +184,26 @@ def _bounds_for_pair(k: int, g: DiscreteElement, r: int):
     return lows, spans
 
 
-def word_distance(
-    g: DiscreteElement, r_max: int, mem_cap_mib: float = 4096.0
-):
-    """Exact d_W(1, g), or None when the distance certifiably exceeds r_max.
+def word_distance(k: int, row, r_max: int, mem_cap_mib: float = 4096.0):
+    """Exact d_W(1, g) of the element g with coordinate row ``row``, or None
+    when the distance certifiably exceeds r_max.
 
     Unidirectional BFS (_ball_distances on one row) up to radius
     ONE_SIDED_MAX, bidirectional (meeting in the middle, always
     expanding the smaller frontier) beyond it.
     """
-    if g.is_identity():
+    row = np.asarray(row, dtype=np.int64)
+    if not row.any():
         return 0
     if r_max < 1:
         return None
-    k = g.k
     if r_max <= ONE_SIDED_MAX:
-        d = int(_ball_distances(k, [g.coords()], r_max, mem_cap_mib)[0])
+        d = int(_ball_distances(k, row, r_max, mem_cap_mib)[0])
         return None if d < 0 else d
     cap = int(mem_cap_mib * (1 << 20))
-    lows, spans = _bounds_for_pair(k, g, r_max)
-    fwd = _Side(k, identity(k), lows, spans)
-    bwd = _Side(k, g, lows, spans)
+    lows, spans = _bounds_for_pair(k, row, r_max)
+    fwd = _Side(k, np.zeros_like(row), lows, spans)
+    bwd = _Side(k, row, lows, spans)
     best = None
     while True:
         if fwd.radius + bwd.radius >= (best if best is not None else r_max + 1):
@@ -238,38 +228,40 @@ def word_distance(
                 return None
 
 
-def central_word_upper_bound(m: int) -> int:
-    """Certified word-length upper bound for the central element c^m.
+def central_word_upper_bound(m: np.ndarray) -> np.ndarray:
+    """Certified word-length upper bounds for the central elements c^m, for
+    an int64 array of exponents with |m| <= 2^62.
 
     Uses commutator rectangles: [a_1^u, b_1^q] spells c^(u q) in
-    2(u + q) letters, plus a remainder rectangle.
+    2(u + q) letters, plus a remainder rectangle, with u = ceil(sqrt(|m|)).
+    Below 2^62 the rounded float root never passes that integer and falls
+    short of it by at most one, so one integer step corrects it.
     """
-    m = abs(m)
-    if m == 0:
-        return 0
-    u = math.isqrt(m)
-    if u * u < m:
-        u += 1
-    q, rem = divmod(m, u)
-    bound = 2 * (u + q)
-    if rem:
-        bound += 2 * rem + 2
-    return bound
+    m = np.abs(m)
+    u = np.ceil(np.sqrt(m)).astype(np.int64)
+    u += u * u < m
+    q, rem = np.divmod(m, np.maximum(u, 1))
+    return 2 * (u + q) + np.where(rem > 0, 2 * rem + 2, 0)
 
 
-def word_upper_bound(g: DiscreteElement) -> int:
-    """Certified upper bound on d_W(1, g) from an explicit spelling."""
-    base = sum(abs(v) for v in g.x) + sum(abs(v) for v in g.y)
-    dot = sum(a * b for a, b in zip(g.x, g.y))
+def word_upper_bound(k: int, rows) -> np.ndarray:
+    """Certified upper bound on d_W(1, g) for each coordinate row g, from an
+    explicit spelling; OverflowError where a term could leave 2^62."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * k + 1)
+    x, y, w = rows[:, :k], rows[:, k : 2 * k], rows[:, 2 * k]
+    mag = np.abs(rows.astype(float))
+    size = mag.sum(axis=1) + (mag[:, :k] * mag[:, k : 2 * k]).sum(axis=1)
+    if size.max(initial=0.0) >= 2.0**62:
+        raise OverflowError("coordinates too large for the word-length bound")
+    dot = (x * y).sum(axis=1)
     # a-letters first leaves central residue w - x.y, b-letters first leaves w
-    return base + min(
-        central_word_upper_bound(g.w - dot), central_word_upper_bound(g.w)
+    return np.abs(rows[:, : 2 * k]).sum(axis=1) + np.minimum(
+        central_word_upper_bound(w - dot), central_word_upper_bound(w)
     )
 
 
 def z_power_distance(k: int, t: int, mem_cap_mib: float = 4096.0):
     """Exact word distance of the central power c^t."""
-    from .group import central
-
-    g = central(k, t)
-    return word_distance(g, word_upper_bound(g), mem_cap_mib)
+    row = np.zeros(2 * k + 1, dtype=np.int64)
+    row[2 * k] = t
+    return word_distance(k, row, int(word_upper_bound(k, row)[0]), mem_cap_mib)

@@ -38,6 +38,7 @@ from .continuum import (
     voxelize,
 )
 from .embeddings import (
+    _C1_MAX_POINTS,
     _DEMO_MAX_POINTS,
     MetricSpace,
     ball_metric,
@@ -317,7 +318,7 @@ def _demo_metric(text: str) -> MetricSpace:
     if name == "bipartite":
         return complete_bipartite_metric(a[0], a[1])
     if name == "ball":
-        return ball_metric(a[0], a[1])[0]
+        return ball_metric(a[0], a[1])
     if name == "random":
         return random_metric(a[0], require_seed(a[1], "demo seed"))
     return negative_type_with_distortion(a[0], 1, require_seed(a[1], "demo seed"))[0]
@@ -330,9 +331,11 @@ def _read_input(path: str) -> str:
         raise ValidationError(f"cannot read input file: {exc}") from None
 
 
-def _load_metric(args) -> tuple[MetricSpace, str]:
+def _load_metric(args, max_n: int) -> tuple[MetricSpace, str]:
+    """The metric of --metric or --demo; a file of more than max_n points
+    is refused right after its point count."""
     if args.metric is not None:
-        return MetricSpace.from_text(_read_input(args.metric)), f"file:{args.metric}"
+        return MetricSpace.from_text(_read_input(args.metric), max_n), f"file:{args.metric}"
     return _demo_metric(args.demo), f"demo:{args.demo}"
 
 
@@ -340,7 +343,8 @@ def _load_metric(args) -> tuple[MetricSpace, str]:
 
 
 def cmd_c1(args, out) -> str:
-    ms, out.source = _load_metric(args)
+    cap = _C1_MAX_POINTS if args.subsample is None else _DEMO_MAX_POINTS
+    ms, out.source = _load_metric(args, cap)
     if args.subsample is not None:
         if args.subsample < ms.n:
             _, ms = ms.subsample_farthest(args.subsample)
@@ -471,7 +475,7 @@ def cmd_sparsest_cut(args, out) -> str:
 
 
 def cmd_duality(args, out) -> str:
-    ms, out.source = _load_metric(args)
+    ms, out.source = _load_metric(args, _C1_MAX_POINTS)
     rep = duality_harness(ms)
     obj = {
         "kind": "duality_harness",

@@ -17,13 +17,14 @@ vector x with x.d.x > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cayley import ball
 from .errors import ConvergenceError, ValidationError
-from .group import DiscreteElement
+from .group import quotient_rows
 from .rng import Rng, substream_seeds, uniform_matrix
 from .simplex import solve_lp
 
@@ -55,17 +56,21 @@ def upper_triangle_text(*mats: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_upper_triangles(text: str, count: int) -> list[np.ndarray]:
-    """Inverse of ``upper_triangle_text``: ``count`` symmetric matrices."""
-    toks = text.split()
-    if not toks:
+def parse_upper_triangles(text: str, count: int, max_n: int) -> list[np.ndarray]:
+    """Inverse of ``upper_triangle_text``: ``count`` symmetric matrices.
+    A point count above ``max_n`` is refused before any entry is read."""
+    head = text.split(None, 1)
+    if not head:
         raise ValidationError("empty matrix file")
     try:
-        n = int(toks[0])
+        n = int(head[0])
     except ValueError:
         n = -1
     if n < 0:
-        raise ValidationError(f"bad point count {toks[0]!r}")
+        raise ValidationError(f"bad point count {head[0]!r}")
+    if n > max_n:
+        raise ValidationError(f"this command reads at most {max_n} points from a file, got {n}")
+    toks = text.split()
     need = n * (n - 1) // 2
     if len(toks) != 1 + count * need:
         raise ValidationError(
@@ -137,8 +142,8 @@ class MetricSpace:
         return upper_triangle_text(self.d)
 
     @classmethod
-    def from_text(cls, text: str) -> "MetricSpace":
-        (d,) = parse_upper_triangles(text, 1)
+    def from_text(cls, text: str, max_n: int) -> "MetricSpace":
+        (d,) = parse_upper_triangles(text, 1, max_n)
         return cls(d)
 
     def restrict(self, indices) -> "MetricSpace":
@@ -193,30 +198,37 @@ def random_metric(n: int, seed: int) -> MetricSpace:
     return MetricSpace(_symmetric(n, 1.0 + Rng(seed).uniforms(n * (n - 1) // 2)))
 
 
-def ball_metric(k: int, r: int) -> tuple[MetricSpace, list[DiscreteElement]]:
-    """Word metric restricted to the radius-r ball.
+def ball_metric(k: int, r: int) -> MetricSpace:
+    """Word metric restricted to the radius-r ball, its points in the
+    ball's coordinate order.
 
     Distances come from a single radius-2r table: d(g, h) is the distance
-    of g^{-1} h from the identity, and that product stays within radius 2r.
-    Returns the metric space and the points in the ball's coordinate order.
+    of g^{-1} h from the identity, and that quotient stays within radius 2r.
+    B_r projects onto the l1 ball of radius r in Z^2k, whose point count
+    sum_i 2^i C(2k, i) C(r, i) refuses a ball over the cap before its search.
     """
+    lower = 0
+    for i in range(min(2 * k, r) + 1):
+        lower += 2**i * math.comb(2 * k, i) * math.comb(r, i)
+        if lower > _DEMO_MAX_POINTS:
+            raise ValidationError(
+                f"a ball metric has at most {_DEMO_MAX_POINTS} points, got at least {lower}"
+            )
     small = ball(k, r)
     if small.size > _DEMO_MAX_POINTS:
         raise ValidationError(
             f"a ball metric has at most {_DEMO_MAX_POINTS} points, got {small.size}"
         )
     big = ball(k, 2 * r)
-    pts = [el for el, _ in small.elements()]
+    pts = small.points.rows
     n = len(pts)
     d = np.zeros((n, n))
-    for i in range(n):
-        gi = pts[i].inverse()
-        for j in range(i + 1, n):
-            dist = big.distance(gi * pts[j])
-            if dist is None:
-                raise ValidationError("radius-2r table misses a pairwise product")
-            d[i, j] = d[j, i] = float(dist)
-    return MetricSpace(d), pts
+    for i in range(n - 1):
+        pos = big.points.locate(quotient_rows(k, pts[i], pts[i + 1 :]))
+        if pos.min() < 0:
+            raise ValidationError("radius-2r table misses a pairwise quotient")
+        d[i, i + 1 :] = d[i + 1 :, i] = big.dists[pos]
+    return MetricSpace(d)
 
 
 # -- negative type -------------------------------------------------------

@@ -9,6 +9,11 @@ Matrix multiplication gives the group law
 
 with identity (0, 0, 0) and inverse (-x, -y, -w + x . y).
 
+The library computes on int64 coordinate rows (x_1..x_k, y_1..y_k, w):
+``quotient_rows`` forms g^-1 h for a whole block of rows h at once.
+``DiscreteElement`` is the scalar form of the same law on Python ints,
+and ``row_text`` the text of one element.
+
 The continuous group's regions (``heislab.continuum``) use exponential
 coordinates (x, y, z), linked to this chart by w = z + (x . y) / 2.
 
@@ -19,6 +24,8 @@ operation that would leave it raises OverflowError instead of wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -65,9 +72,6 @@ class DiscreteElement:
             _chk(-self.w + dot),
         )
 
-    def is_identity(self) -> bool:
-        return self.w == 0 and not any(self.x) and not any(self.y)
-
     def coords(self) -> tuple:
         return self.x + self.y + (self.w,)
 
@@ -82,10 +86,23 @@ def row_text(k: int, row) -> str:
     return f"{k};{xs};{ys};{row[2 * k]}"
 
 
-def identity(k: int) -> DiscreteElement:
-    return DiscreteElement(k, (0,) * k, (0,) * k, 0)
+def quotient_rows(k: int, g, rows: np.ndarray) -> np.ndarray:
+    """g^-1 h for every row h of a block of coordinate rows:
 
+        (x_h - x_g, y_h - y_g, w_h - w_g - x_g . (y_h - y_g)).
 
-def central(k: int, t: int = 1) -> DiscreteElement:
-    """The central element c^t = (0, 0, t)."""
-    return DiscreteElement(k, (0,) * k, (0,) * k, _chk(t))
+    int64 arithmetic wraps modulo 2^64, so the result is exact wherever the
+    true one fits; a float bound on every term finds the rows where it might
+    not, and those are checked on Python ints, raising OverflowError.
+    """
+    g = np.asarray(g, dtype=np.int64)
+    out = rows - g
+    out[:, 2 * k] -= out[:, k : 2 * k] @ g[:k]
+    size = np.abs(rows.astype(float)) + np.abs(g.astype(float))
+    size[:, 2 * k] += size[:, k : 2 * k] @ np.abs(g[:k].astype(float))
+    if size.max(initial=0.0) >= 2.0**62:
+        exact = rows.astype(object) - g.astype(object)
+        exact[:, 2 * k] -= exact[:, k : 2 * k] @ g[:k].astype(object)
+        for v in exact.ravel():
+            _chk(v)
+    return out

@@ -31,7 +31,7 @@ from math import fsum
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError, require_seed
-from .group import DiscreteElement, row_text
+from .group import row_text
 from .rng import Rng, substream_seeds
 
 _EPS = 2.0 ** -52
@@ -53,11 +53,6 @@ def _pack(coords: np.ndarray, lows: np.ndarray, spans: np.ndarray) -> np.ndarray
     for j in range(coords.shape[1]):
         key = key * spans[j] + (coords[:, j] - lows[j])
     return key
-
-
-def element_from_row(k: int, row) -> DiscreteElement:
-    vals = [int(v) for v in row]
-    return DiscreteElement(k, tuple(vals[:k]), tuple(vals[k : 2 * k]), vals[2 * k])
 
 
 def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
@@ -95,28 +90,21 @@ def _neighbor_tuples(k: int, t: tuple):
 class FiniteSet:
     """Finite subset of the rank-k lattice: sorted unique rows plus keys.
 
-    Members may be given as coordinate tuples, DiscreteElements or an
-    integer array of rows.
+    Members may be given as coordinate tuples or an integer array of rows.
     """
 
     def __init__(self, k: int, members):
         self.k = k
         if not isinstance(members, np.ndarray):
-            coords = []
-            for m in members:
-                if isinstance(m, DiscreteElement):
-                    if m.k != k:
-                        raise ValidationError("element rank mismatch")
-                    m = m.coords()
-                elif len(m) != 2 * k + 1:
-                    raise ValidationError("coordinate tuple length mismatch")
-                coords.append(m)
-            members = np.array(coords, dtype=np.int64).reshape(-1, 2 * k + 1)
-        rows = np.asarray(members, dtype=np.int64)
+            members = list(members)
+        try:
+            rows = np.asarray(members, dtype=np.int64)
+        except ValueError:
+            raise ValidationError("coordinate tuple length mismatch") from None
+        if rows.size == 0:
+            raise ValidationError("finite set must be nonempty")
         if rows.ndim != 2 or rows.shape[1] != 2 * k + 1:
             raise ValidationError("coordinate row length mismatch")
-        if len(rows) == 0:
-            raise ValidationError("finite set must be nonempty")
         self._lows = rows.min(axis=0)
         self._highs = rows.max(axis=0)
         spans = [int(h) - int(lo) + 1 for lo, h in zip(self._lows, self._highs)]

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ValidationError
 from .perimeter import (
     FiniteSet,
-    element_from_row,
     generator_step,
     horizontal_perimeter,
     l2_with_tail,
@@ -47,9 +46,8 @@ class LatticeFunction:
     """
 
     def __init__(self, k: int, values: dict):
-        """values maps coordinate tuples or DiscreteElements to scalars;
-        zero values are dropped."""
-        keys = [key.coords() if hasattr(key, "coords") else key for key in values]
+        """values maps coordinate tuples to scalars; zero values are dropped."""
+        keys = list(values)
         S = FiniteSet(k, keys)  # refuses an empty support and wrong tuple lengths
         try:
             given = np.array(list(values.values()), dtype=float).reshape(len(keys))
@@ -236,16 +234,13 @@ def _rhs_window(phi: LatticeFunction, R: int, mem_cap_mib: float = 4096.0) -> np
         k, np.concatenate([S.rows] + [generator_step(k, S.rows, j) for j in range(4 * k)])
     )
     near = window.rows[np.abs(window.rows[:, : 2 * k]).sum(axis=1) <= R]
-    inside = np.array(
-        [word_upper_bound(element_from_row(k, h)) <= R for h in near.tolist()], dtype=bool
-    )
+    inside = word_upper_bound(k, near) <= R
     open_rows = near[~inside]
     if R <= ONE_SIDED_MAX:
         inside[~inside] = _ball_distances(k, open_rows, R, mem_cap_mib) >= 0
     else:
         inside[~inside] = [
-            word_distance(element_from_row(k, h), R, mem_cap_mib) is not None
-            for h in open_rows.tolist()
+            word_distance(k, h, R, mem_cap_mib) is not None for h in open_rows
         ]
     return near[inside]
 

@@ -84,7 +84,7 @@ class Instance:
 
     @classmethod
     def from_text(cls, text: str) -> "Instance":
-        C, D = parse_upper_triangles(text, 2)
+        C, D = parse_upper_triangles(text, 2, _OPT_MAX_POINTS)
         return cls(C, D)
 
 

@@ -6,7 +6,8 @@ Points are (x, y, z) with x, y in R^k and the group law
     omega(u, v) = sum_i (x_i(u) y_i(v) - y_i(u) x_i(v)).
 
 The chart is linked to the integer (matrix) chart of
-``heislab.group.DiscreteElement`` by w = z + (x . y) / 2.  Lattice points
+``heislab.group.DiscreteElement`` by w = z + (x . y) / 2, whose identity
+and central powers the tests build here.  Lattice points
 have integer x, y and z integral or half-integral according to the parity
 of x . y.  The regions and line traces of ``heislab.continuum`` and
 ``heislab.lines`` work on coordinate arrays in this chart; the tests check
@@ -57,6 +58,15 @@ class ContinuousPoint:
 def omega(u: ContinuousPoint, v: ContinuousPoint) -> float:
     """Standard symplectic form sum_i (x_i(u) y_i(v) - y_i(u) x_i(v))."""
     return sum(a * d - b * c for a, b, c, d in zip(u.x, u.y, v.x, v.y))
+
+
+def identity(k: int) -> DiscreteElement:
+    return DiscreteElement(k, (0,) * k, (0,) * k, 0)
+
+
+def central(k: int, t: int = 1) -> DiscreteElement:
+    """The central element c^t = (0, 0, t)."""
+    return DiscreteElement(k, (0,) * k, (0,) * k, t)
 
 
 def continuous_identity(k: int) -> ContinuousPoint:

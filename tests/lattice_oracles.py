@@ -4,18 +4,21 @@ with the lattice constructions that only the tests use.
 Each count works member by member on coordinate tuples, apart from the
 kernel in ``heislab.perimeter`` or ``heislab.poincare`` that it checks;
 ball membership is decided one row at a time, apart from the shared
-search of ``heislab.cayley``.  The standard generators are built as
-``DiscreteElement``s, apart from the row action ``generator_step``.
+search of ``heislab.cayley``, with word-length bounds on Python ints,
+apart from the int64 block bounds of ``heislab.cayley``.  The standard
+generators are built as ``DiscreteElement``s, apart from the row action
+``generator_step``.
 """
 
+import math
 from math import fsum
 
 import numpy as np
 
-from heislab.cayley import word_distance, word_upper_bound
+from heislab.cayley import word_distance
 from heislab.errors import ValidationError
 from heislab.group import DiscreteElement
-from heislab.perimeter import FiniteSet, element_from_row
+from heislab.perimeter import FiniteSet
 
 
 def spectrum_count(spec, t: int) -> int:
@@ -61,7 +64,7 @@ def set_from_lines(lines) -> FiniteSet:
     els = [element_from_text(ln) for ln in lines if ln.strip()]
     if not els:
         raise ValidationError("no elements in input")
-    return FiniteSet(els[0].k, els)
+    return FiniteSet(els[0].k, [el.coords() for el in els])
 
 
 def embedded(S: FiniteSet, k_new: int) -> FiniteSet:
@@ -152,13 +155,39 @@ def horizontal_perimeter_direct(S) -> int:
     return count
 
 
+def scalar_central_word_upper_bound(m: int) -> int:
+    """Word-length upper bound for c^m on Python ints: the commutator
+    rectangle [a_1^u, b_1^q] spells c^(u q) in 2(u + q) letters, with
+    u = ceil(sqrt(|m|)), plus a remainder rectangle."""
+    m = abs(m)
+    if m == 0:
+        return 0
+    u = math.isqrt(m)
+    if u * u < m:
+        u += 1
+    q, rem = divmod(m, u)
+    bound = 2 * (u + q)
+    if rem:
+        bound += 2 * rem + 2
+    return bound
+
+
+def scalar_word_upper_bound(k: int, row) -> int:
+    """Word-length upper bound of one coordinate row on Python ints."""
+    x, y, w = row[:k], row[k : 2 * k], row[2 * k]
+    dot = sum(a * b for a, b in zip(x, y))
+    # a-letters first leaves central residue w - x.y, b-letters first leaves w
+    return sum(map(abs, row[: 2 * k])) + min(
+        scalar_central_word_upper_bound(w - dot), scalar_central_word_upper_bound(w)
+    )
+
+
 def in_ball_per_row(k: int, rows, r: int) -> np.ndarray:
     """Membership of each row in B_r, one row at a time: a word-length
     upper bound of at most r, else its own word_distance search."""
     out = []
     for h in np.asarray(rows, dtype=np.int64).tolist():
-        el = element_from_row(k, h)
-        out.append(word_upper_bound(el) <= r or word_distance(el, r) is not None)
+        out.append(scalar_word_upper_bound(k, h) <= r or word_distance(k, h, r) is not None)
     return np.array(out, dtype=bool)
 
 

@@ -32,7 +32,7 @@ from heislab.embeddings import (
     path_metric,
     random_metric,
 )
-from heislab.group import DiscreteElement, central, identity
+from heislab.group import DiscreteElement
 from heislab.lines import nonmonotonicity
 from heislab.continuum import HalfSpaceCap, SlabComplementCap
 from heislab.perimeter import (
@@ -47,6 +47,7 @@ from heislab.poincare import LatticeFunction, coarea, poincare_sides
 from heislab.rng import Rng
 from heislab.sparsecut import duality_harness, gl_sdp, lp_relaxation, opt_bruteforce, random_instance
 from continuum_oracles import Dilation, scaling_check
+from group_oracles import central, identity
 from lattice_oracles import (
     generators,
     spectrum_count,

@@ -2,20 +2,25 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from group_oracles import identity
 from heislab.cayley import (
     _ball_distances,
     ball,
     central_word_upper_bound,
-    element_from_row,
     growth_table,
     word_distance,
     word_upper_bound,
     z_power_distance,
 )
 from heislab.errors import ResourceCapError
-from heislab.group import DiscreteElement, central, identity
-from lattice_oracles import generators
+from lattice_oracles import (
+    generators,
+    scalar_central_word_upper_bound,
+    scalar_word_upper_bound,
+)
 
 
 def brute_ball(k, r):
@@ -41,8 +46,8 @@ def test_ball_matches_brute_force(k, r):
     oracle = brute_ball(k, r)
     b = ball(k, r)
     assert b.size == len(oracle)
-    for el, d in b.elements():
-        assert oracle[el.coords()] == d
+    for row, d in zip(b.points, b.dists.tolist()):
+        assert oracle[row] == d
 
 
 def test_k1_counts():
@@ -52,10 +57,10 @@ def test_k1_counts():
 
 def test_ball_lookup():
     b = ball(1, 5)
-    assert b.distance(identity(1)) == 0
-    assert b.distance(central(1)) == 4
-    far = DiscreteElement(1, (50,), (0,), 0)
-    assert b.distance(far) is None
+    # the identity, the central generator c and (50, 0, 0), outside B_5
+    pos = b.points.locate(np.array([[0, 0, 0], [0, 0, 1], [50, 0, 0]]))
+    assert b.dists[pos[:2]].tolist() == [0, 4]
+    assert pos[2] == -1
 
 
 def test_growth_table_normalization():
@@ -69,10 +74,11 @@ def test_word_distance_agrees_with_ball():
     # ball(k, r + 1) also holds the sphere of radius r + 1, which word_distance
     # must report as beyond r_max = r
     for k, r, step in [(2, 4, 307), (1, 8, 41), (2, 8, 4001)]:
-        elements = list(ball(k, r + 1).elements())
-        sphere = [(el, d) for el, d in elements if d == r + 1]
-        for el, d in elements[::step] + sphere[:: step // 4]:
-            assert word_distance(el, r) == (d if d <= r else None)
+        b = ball(k, r + 1)
+        members = list(zip(b.points, b.dists.tolist()))
+        sphere = [(row, d) for row, d in members if d == r + 1]
+        for row, d in members[::step] + sphere[:: step // 4]:
+            assert word_distance(k, row, r) == (d if d <= r else None)
 
 
 @pytest.mark.parametrize("k,r", [(1, 8), (2, 5)])
@@ -103,12 +109,11 @@ def test_ball_distances_stop_at_farthest_row():
 def test_word_distance_bidirectional_regime():
     # radius above 8 switches to meet-in-the-middle; check against the
     # unidirectional answer on a known central power
-    g = central(1, 9)
-    assert word_distance(g, 12) == 12  # 4 sqrt(9) = 12
+    assert word_distance(1, (0, 0, 9), 12) == 12  # 4 sqrt(9) = 12
 
 
 def test_word_distance_none_when_out_of_range():
-    assert word_distance(central(1, 100), 5) is None
+    assert word_distance(1, (0, 0, 100), 5) is None
 
 
 @pytest.mark.parametrize("t,want", [(1, 4), (4, 8), (9, 12), (16, 16)])
@@ -122,19 +127,45 @@ def test_z_power_between_squares():
 
 
 def test_upper_bounds_hold():
-    for t in range(1, 30):
-        d = z_power_distance(1, t)
-        assert d <= central_word_upper_bound(t)
-    for el, d in list(ball(2, 4).elements())[::211]:
-        assert d <= word_upper_bound(el)
+    t = np.arange(1, 30)
+    d = [z_power_distance(1, v) for v in t.tolist()]
+    assert np.all(d <= central_word_upper_bound(t))
+    b = ball(2, 4)
+    assert np.all(b.dists <= word_upper_bound(2, b.points.rows))
+
+
+def _near_squares(u):
+    return st.sampled_from((-1, 0, 1)).map(lambda e: u * u + e)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**62),
+            st.integers(min_value=1, max_value=2**31 - 1).flatmap(_near_squares),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_central_bound_matches_scalar_oracle(ms):
+    # u^2 - 1, u^2 and u^2 + 1 for large u move the float root across an integer
+    m = np.array(ms + [-v for v in ms], dtype=np.int64)
+    want = [scalar_central_word_upper_bound(v) for v in m.tolist()]
+    assert central_word_upper_bound(m).tolist() == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_word_bound_matches_scalar_oracle(k):
+    rows = ball(k, 3).points.rows * np.array([7] * (2 * k) + [1000])
+    want = [scalar_word_upper_bound(k, h) for h in rows.tolist()]
+    assert word_upper_bound(k, rows).tolist() == want
+    with pytest.raises(OverflowError):
+        word_upper_bound(k, [[2**31] * (2 * k) + [0]])
 
 
 def test_mem_cap():
     with pytest.raises(ResourceCapError):
         ball(2, 8, mem_cap_mib=0.01)
 
-
-def test_element_from_row():
-    b = ball(1, 2)
-    el = element_from_row(1, b.points.rows[0])
-    assert isinstance(el, DiscreteElement)

@@ -211,6 +211,21 @@ def test_bad_matrix_files_exit_2(tmp_path, case):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,cap",
+    [(["c1"], 16), (["duality"], 16), (["c1", "--subsample", "9"], 1024), (["sparsest-cut"], 24)],
+    ids=["c1", "duality", "c1-subsample", "sparsest-cut"],
+)
+def test_oversized_matrix_file_refused_at_its_count(tmp_path, capsys, argv, cap):
+    # the count is read first: a file that declares 2^31 points holds three tokens
+    f = tmp_path / "matrix.txt"
+    f.write_text("2147483648\n1 1\n1\n")
+    flag = "--instance" if argv[0] == "sparsest-cut" else "--metric"
+    assert main(argv + [flag, str(f), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"at most {cap} points from a file, got 2147483648" in err
+
+
 @pytest.mark.parametrize("flag", ["--metric", "--instance"])
 def test_missing_matrix_file_exits_2(tmp_path, capsys, flag):
     command = "c1" if flag == "--metric" else "sparsest-cut"
@@ -377,6 +392,9 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
         (["c1", "--demo", "bipartite:1000,25"], "demo metrics have at most 1024 points, got 1025"),
         (["c1", "--demo", "ball:1,9", "--subsample", "5"],
          "a ball metric has at most 1024 points, got 2845"),
+        (["c1", "--demo", "ball:1,40"], "a ball metric has at most 1024 points, got at least 3281"),
+        (["c1", "--demo", "ball:1,22", "--subsample", "5"],
+         "a ball metric has at most 1024 points, got 99689"),
         (["sparsest-cut", "--random", "3000000,1", "--solver", "opt"],
          "random instances have at most 24 points, the most any solver takes, got 3000000"),
         (["sparsest-cut", "--random", "17,1", "--solver", "lp"],
@@ -399,7 +417,7 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "c1-demo-search-3000000", "box-profile-workers-65",
          "nm-workers-65", "voxelize-workers-100000", "c1-demo-cycle-3000000",
          "c1-demo-path-1025", "c1-demo-random-1025", "c1-demo-bipartite-1025",
-         "c1-demo-ball-2845", "sparsest-opt-3000000", "sparsest-lp-17", "sparsest-sdp-21"],
+         "c1-demo-ball-2845", "c1-demo-ball-1-40", "c1-demo-ball-1-22", "sparsest-opt-3000000", "sparsest-lp-17", "sparsest-sdp-21"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
     tracemalloc.start()

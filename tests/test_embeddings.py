@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,10 +38,12 @@ def test_metric_validation():
 
 def test_text_roundtrip():
     ms = random_metric(6, seed=2)
-    back = MetricSpace.from_text(ms.to_text())
+    back = MetricSpace.from_text(ms.to_text(), 6)
     assert np.allclose(back.d, ms.d)
     for text in (ms.to_text(), "1\n", "3\n1 2\n1.5\n"):
-        assert MetricSpace.from_text(text).to_text() == text
+        assert MetricSpace.from_text(text, 6).to_text() == text
+    with pytest.raises(ValidationError, match="at most 5 points from a file, got 6"):
+        MetricSpace.from_text(ms.to_text(), 5)
 
 
 def test_transforms():
@@ -70,14 +74,34 @@ def test_cycle_and_bipartite():
 
 
 def test_ball_metric_matches_word_distance():
-    from heislab.cayley import word_distance
+    from heislab.cayley import ball, word_distance
+    from heislab.group import DiscreteElement
 
-    ms, elements = ball_metric(1, 2)
+    ms = ball_metric(1, 2)
     assert ms.n == 17
+    elements = [DiscreteElement(1, (x,), (y,), w) for x, y, w in ball(1, 2).points]
     for i in (0, 3, 8):
         for j in (1, 5, 16):
             g = elements[i].inverse() * elements[j]
-            assert ms.d[i, j] == word_distance(g, 8)
+            assert ms.d[i, j] == word_distance(1, g.coords(), 8)
+
+
+# SHA-256 of ball_metric(k, r).d, recorded while the matrix was still
+# filled one element product and one ball lookup per pair
+BALL_METRIC_DIGESTS = {
+    (1, 2): "ef120fdfaf5581efa9051347bef8aef37c09be7341cb1636dc8f53972762a36a",
+    (1, 4): "fbf497ddf285049cc547c518536b910d53f88afb50cab6874fe52c175879de54",
+    (1, 5): "1a1f8195b47ae449bb998c1af2bef1ea73057df62f2fa835d85673119f044003",
+    (1, 6): "3cdfe22ee8d322228aa79fec56ea1b6ea169c6ee5710a0c36319e894f504889e",
+    (2, 2): "870e039c75e86f6b4bb7cbccbd69b2ee3808e55e9cf0cede4aa5dc76ced4b5fe",
+    (2, 4): "941c7bb026ebb24e254bb4515a8a3b741f723c108e47b1726073205c8298b3b5",
+}
+
+
+@pytest.mark.parametrize("k,r", sorted(BALL_METRIC_DIGESTS))
+def test_ball_metric_golden(k, r):
+    d = ball_metric(k, r).d
+    assert hashlib.sha256(d.tobytes()).hexdigest() == BALL_METRIC_DIGESTS[k, r]
 
 
 def test_negative_type_results():
@@ -252,7 +276,7 @@ def test_cut_cone_screen_sees_the_classes_no_draw_reaches(b):
 
 
 def test_ball_metric_subsample():
-    full, _ = ball_metric(1, 2)
+    full = ball_metric(1, 2)
     idx, same = full.subsample_farthest(full.n)
     assert np.array_equal(idx, np.arange(full.n)) and np.array_equal(same.d, full.d)
     keep, sub = full.subsample_farthest(8)
@@ -272,7 +296,7 @@ def test_negative_type_embedding_replay():
 
 
 def test_snowflake_distortion_nonincreasing():
-    _, ms = ball_metric(1, 2)[0].subsample_farthest(8)
+    _, ms = ball_metric(1, 2).subsample_farthest(8)
     vals = [
         c1_distortion(snowflake(ms, e), refine=False).distortion
         for e in (0.1, 0.3, 0.5)
@@ -309,7 +333,7 @@ def assert_certified(ms, rep):
 
 
 def ball_sub11():
-    return ball_metric(1, 2)[0].subsample_farthest(11)[1]
+    return ball_metric(1, 2).subsample_farthest(11)[1]
 
 
 def test_degenerate_cycle_lp_takes_few_pivots():

@@ -2,16 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from group_oracles import (
     ContinuousPoint,
+    central,
     continuous_identity,
+    identity,
     quasi_norm,
     to_exponential,
     to_lattice,
     to_matrix_coords,
     z_power,
 )
-from heislab.group import DiscreteElement, central, identity
+from heislab.group import DiscreteElement, quotient_rows
 from lattice_oracles import element_from_text, generators
 
 COORD = st.integers(min_value=-50, max_value=50)
@@ -79,6 +83,39 @@ def test_overflow_guard():
     big = element(1, [2**40, 2**40, 0])
     with pytest.raises(OverflowError):
         big * big  # w picks up x*y' = 2^80
+
+
+WIDE = st.integers(min_value=-(2**30), max_value=2**30)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(WIDE, min_size=2 * k + 1, max_size=2 * k + 1),
+        st.lists(st.lists(WIDE, min_size=2 * k + 1, max_size=2 * k + 1), min_size=1, max_size=6),
+    )
+))
+@settings(max_examples=100, deadline=None)
+def test_quotient_rows_matches_scalar_law(args):
+    k, g, hs = args
+    got = quotient_rows(k, g, np.array(hs, dtype=np.int64))
+    want = [(element(k, g).inverse() * element(k, h)).coords() for h in hs]
+    assert got.dtype == np.int64 and got.tolist() == [list(w) for w in want]
+
+
+def test_quotient_rows_overflow_guard():
+    # g^-1 h for g = (2^40, 2^40, 0), h = 1 has w = x_g * y_g = 2^80
+    with pytest.raises(OverflowError):
+        quotient_rows(1, [2**40, 2**40, 0], np.zeros((1, 3), dtype=np.int64))
+    # at the edge of the range: 2^63 - 1 fits, 2^63 does not, as in the scalar law
+    g = [0, 0, -(2**62)]
+    top = np.array([[0, 0, 2**62 - 1]], dtype=np.int64)
+    assert quotient_rows(1, g, top).tolist() == [[0, 0, 2**63 - 1]]
+    assert (element(1, g).inverse() * element(1, [0, 0, 2**62 - 1])).w == 2**63 - 1
+    with pytest.raises(OverflowError):
+        quotient_rows(1, g, top + 1)
+    with pytest.raises(OverflowError):
+        element(1, g).inverse() * element(1, [0, 0, 2**62])
 
 
 @given(elements())

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from heislab.cayley import word_distance
 from heislab.errors import ResourceCapError, ValidationError
-from heislab.group import DiscreteElement
 from heislab.perimeter import (
     FiniteSet,
     _neighbor_tuples,
@@ -96,15 +95,15 @@ def test_scalar_step_matches_block_action(args):
 
 
 def test_key_window_overflow_is_refused():
-    far = DiscreteElement(1, (2**40,), (2**40,), 0)
+    far = (2**40, 2**40, 0)
     with pytest.raises(ResourceCapError) as set_err:
-        FiniteSet(1, [(0, 0, 0), far.coords()])
+        FiniteSet(1, [(0, 0, 0), far])
     # the bidirectional search packs keys over a window holding 1 and far
     with pytest.raises(ResourceCapError) as bfs_err:
-        word_distance(far, 9)
+        word_distance(1, far, 9)
     assert str(set_err.value) == str(bfs_err.value)
     # the one-sided search packs over the ball's own window, which far leaves
-    assert word_distance(far, 2) is None
+    assert word_distance(1, far, 2) is None
     # a window of 2^62 keys fits; each isolated point exits along every move
     S = FiniteSet(1, [(0, 0, 0), (2**31 - 1, 2**31 - 1, 0)])
     assert horizontal_perimeter(S) == horizontal_perimeter_direct(S) == 8

@@ -185,7 +185,7 @@ def test_screen_matches_oracle_on_distortion_lps(checked_against_oracle, name):
     if name == "cycle:9":
         ms = cycle_metric(9)
     else:
-        _, ms = ball_metric(1, 2)[0].subsample_farthest(9)
+        _, ms = ball_metric(1, 2).subsample_farthest(9)
     rep = c1_distortion(ms, refine=True)
     assert rep.exact and checked_against_oracle[-1] == "ok"
 
