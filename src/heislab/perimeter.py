@@ -3,8 +3,11 @@
 A finite set is kept as lexicographically sorted, unique coordinate rows
 (x_1..x_k, y_1..y_k, w) together with their mixed-radix int64 keys over
 the set's own bounding window, so looking up a block of rows is one
-``searchsorted``.  ``generator_step`` is the generator action on such
-blocks: it right-multiplies every row by one standard generator.
+``searchsorted``.  ``generator_step`` is the one generator action: it
+right-multiplies every row of a block by one standard generator, and
+every neighbour in the package, random_blob's included, comes from it.
+``group.DiscreteElement.__mul__`` stays only as the scalar reference
+for the tests and for ``perfbench/tracer.py``.
 
 A finite set Omega splits into columns: fibers over the horizontal
 coordinates (x, y), each a finite set of w-values.  The horizontal
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from math import fsum
 
 import numpy as np
@@ -70,21 +74,6 @@ def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
     else:
         out[:, i] += sign
     return out
-
-
-def _neighbor_tuples(k: int, t: tuple):
-    """generator_step for one coordinate tuple, all 4k moves in order;
-    the scalar form keeps random_blob's one-at-a-time growth cheap."""
-    w = t[2 * k]
-    for sign in (1, -1):
-        for i in range(k):
-            yield t[:i] + (t[i] + sign,) + t[i + 1 :]
-            yield (
-                t[: k + i]
-                + (t[k + i] + sign,)
-                + t[k + i + 1 : 2 * k]
-                + (w + sign * t[i],)
-            )
 
 
 class FiniteSet:
@@ -176,35 +165,29 @@ class VerticalSpectrum:
         return l2_with_tail(self.head, 2 * self.size)
 
 
-def _column_counts(ws: np.ndarray) -> np.ndarray:
-    """Per-column |{w in S: w+t not in S}| + |{w: w-t not in S}| for t=1..span,
-    from the overlap of the column's bitset with its shifts."""
+def _column_overlaps(ws: np.ndarray) -> np.ndarray:
+    """|{w : w, w+t in the column}| for t = 1..span, from the overlap of the
+    column's bitset with its shifts."""
     span = int(ws[-1] - ws[0])
-    cnt = len(ws)
-    out = np.empty(span, dtype=np.int64)
     bits = 0
     base = int(ws[0])
     for w in ws.tolist():
         bits |= 1 << (w - base)
-    for t in range(1, span + 1):
-        out[t - 1] = 2 * (cnt - (bits & (bits >> t)).bit_count())
-    return out
+    return np.fromiter(
+        ((bits & (bits >> t)).bit_count() for t in range(1, span + 1)), np.int64, span
+    )
 
 
 def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
+    """|bd_v^t| = 2|S| minus twice the pairs (w, w+t) inside one column."""
     cols = S.columns()
     T0 = max(int(ws[-1] - ws[0]) for ws in cols)
-    head = np.zeros(T0, dtype=np.int64)
-    plateau = np.zeros(T0 + 1, dtype=np.int64)  # suffix-add via diff array
+    overlap = np.zeros(T0, dtype=np.int64)
     for ws in cols:
-        span = int(ws[-1] - ws[0])
-        if span > 0:
-            head[:span] += _column_counts(ws)
-        if span < T0:
-            plateau[span] += 2 * len(ws)
-    if T0 > 0:
-        head += np.cumsum(plateau)[:T0]
-    return VerticalSpectrum(S.size, T0, head)
+        if len(ws) > 1:
+            o = _column_overlaps(ws)
+            overlap[: len(o)] += o
+    return VerticalSpectrum(S.size, T0, 2 * (S.size - overlap))
 
 
 def _psi1_exact(m: int) -> float:
@@ -278,28 +261,41 @@ def random_blob(k: int, size: int, seed: int) -> FiniteSet:
 
     Frontier candidates are visited in FIFO order; each draw accepts the
     candidate with probability 0.7 (uniform from the seeded stream) and
-    otherwise requeues it, so the member set is a pure function of
-    (k, size, seed).
+    queues its 4k neighbours in generator_step order, or otherwise
+    requeues it, so the member set is a pure function of (k, size, seed).
+
+    The queue is consumed in rounds.  A FIFO pops everything queued before
+    anything queued after it, so round r + 1 is exactly what round r
+    appended, in order, and the neighbours of all candidates accepted in a
+    round come from one generator_step call per generator on their rows.
+    Members only grow, so a neighbour that is already a member when it is
+    queued is skipped at its pop without a draw: queueing it anyway leaves
+    the draws and the member set as they are.
     """
     if size < 1:
         raise ValidationError("blob size must be positive")
     u = Rng(seed).stream()
-    from collections import deque
-
     start = (0,) * (2 * k + 1)
     members = {start}
-    frontier = deque(_neighbor_tuples(k, start))
+    # order: each requeued reject, or None where an accepted row's neighbours go
+    accepted, order = [start], [None]
     while len(members) < size:
-        cand = frontier.popleft()
-        if cand in members:
-            continue
-        if next(u) < 0.7:
-            members.add(cand)
-            for nb in _neighbor_tuples(k, cand):
-                if nb not in members:
-                    frontier.append(nb)
-        else:
-            frontier.append(cand)
+        rows = np.array(accepted, dtype=np.int64).reshape(-1, 2 * k + 1)
+        moves = np.stack([generator_step(k, rows, j) for j in range(4 * k)], axis=1)
+        nbrs = zip(*moves.reshape(-1, 2 * k + 1).T.tolist())
+        queue = (c for item in order for c in (islice(nbrs, 4 * k) if item is None else (item,)))
+        accepted, order = [], []
+        for cand in queue:
+            if cand in members:
+                continue
+            if next(u) < 0.7:
+                members.add(cand)
+                if len(members) == size:
+                    break
+                accepted.append(cand)
+                order.append(None)
+            else:
+                order.append(cand)
     return FiniteSet(k, members)
 
 
@@ -344,27 +340,20 @@ def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
 def default_corpus(k: int = 2, seed: int = 20260816):
     """The standard 200-set study corpus: boxes, balls, columns, blobs.
 
-    Returns a list of (set_id, spec_text, FiniteSet).  Blob seeds derive
-    from the corpus seed, so the corpus is a pure function of (k, seed).
+    Returns a list of (set_id, spec_text, FiniteSet), each set built as
+    parse_set_spec(k, spec_text), so a set is exactly what its text names.
+    Blob seeds derive from the corpus seed, so the corpus is a pure
+    function of (k, seed).
     """
-    out = []
-    idx = 0
-
-    def add(spec, S):
-        nonlocal idx
-        out.append((idx, spec, S))
-        idx += 1
-
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for h in (1, 2, 3, 5):
-                add(f"box({a},{b},{h})", box_set(k, a, b, h))
-    for r in range(4):
-        add(f"ball({r})", ball_set(k, r))
-    for h in (1, 2, 3, 4, 5, 8, 10, 16, 25, 32, 50, 64, 100, 128, 200, 256, 400, 512, 750, 1000):
-        add(f"column({h})", column_set(k, h))
+    specs = [f"box({a},{b},{h})" for a in (1, 2, 3) for b in (1, 2, 3) for h in (1, 2, 3, 5)]
+    specs += [f"ball({r})" for r in range(4)]
+    specs += [
+        f"column({h})"
+        for h in (1, 2, 3, 4, 5, 8, 10, 16, 25, 32, 50, 64, 100, 128, 200, 256, 400, 512, 750, 1000)
+    ]
     sizes = (20, 50, 100, 200, 400, 800)
-    for j, blob_seed in enumerate(substream_seeds(seed, 0, 140).tolist()):
-        size = sizes[j % len(sizes)]
-        add(f"random_blob({size},{blob_seed})", random_blob(k, size, blob_seed))
-    return out
+    specs += [
+        f"random_blob({sizes[j % len(sizes)]},{blob_seed})"
+        for j, blob_seed in enumerate(substream_seeds(seed, 0, 140).tolist())
+    ]
+    return [(idx, spec, parse_set_spec(k, spec)) for idx, spec in enumerate(specs)]
