@@ -28,6 +28,11 @@ k = 2 quasi-ball and 32,364 cells at h = 0.1) and the 700-line ``nm``
 cases (three line blocks, k = 1 and k = 2, one and two workers) were
 recorded before voxelization skipped the cells an interval bound decides
 and before the line estimator traced whole blocks of lines at once.
+
+``box-profile-k2``, ``box-profile-k4`` and ``nm-k4-two-slab`` (k = 4, so
+the quasi-norm sums eight coordinates) were recorded before membership
+tests summed rows by column chains and the box tested each shifted pair
+once.
 """
 
 import hashlib
@@ -195,6 +200,34 @@ GOLDEN = {
             "run_record.json": "8fb47c6fc1bb8e3b1761745b088e6b312a773395182fe3097c1c2197d21cb972",
         },
     ),
+    "box-profile-k2": (
+        ["box-profile", "--k", "2", "--r", "1.5", "--s-min", "-1", "--s-max", "3",
+         "--steps", "5", "--mc-samples", "20000", "--seed", "2"],
+        {
+            "profile.csv": "cecd5aefc41f19ad9a0daff32f7a0333d2d76f73cee38c6a813369d198fc400f",
+            "profile_mc.csv": "33f5b7caab3b22594e9dd0b3e8dbc522ca018a56e4a6471ef51b4d99c0c39bd2",
+            "plot.gp": "ceb55d19d422c3c5b8365856746aa6ceef0339b0373ca2fa5a3a84942719b881",
+            "run_record.json": "e0d11aac18ce607314dd81fcd795b91ecc71b9289e648ead6d7442d8a7acc141",
+        },
+    ),
+    "box-profile-k4": (
+        ["box-profile", "--k", "4", "--r", "1", "--s-min", "-1", "--s-max", "2",
+         "--steps", "4", "--mc-samples", "20000", "--seed", "3"],
+        {
+            "profile.csv": "d7825173a1d0df0ad4c9a363a0f76615e91b866e2a4730abf84ab0fbe95437d9",
+            "profile_mc.csv": "89f6df81fbb310c736466c7fea8b435a64f7855e9f50e5373a337a3fd9a971de",
+            "plot.gp": "ceb55d19d422c3c5b8365856746aa6ceef0339b0373ca2fa5a3a84942719b881",
+            "run_record.json": "d32179a2b1d87a5e7cb427dfcadfa97c482e368c83b5d39627dc4a3c45f5f07d",
+        },
+    ),
+    "nm-k4-two-slab": (
+        ["nm", "--region", "two-slab:k=4,R=3,a=0.2,axis=2", "--radius", "3",
+         "--lines", "400", "--steps", "40", "--seed", "19"],
+        {
+            "nm.json": "bc24a92d75d21f37bfb615d546cdf06ac14ce94dd7601b655a07660451925499",
+            "run_record.json": "7caa82db661377ec19d2e5d9fb681acf28b79194fc661d8fc95379f893d3089b",
+        },
+    ),
 }
 
 
@@ -205,6 +238,11 @@ SUMMARIES = {
     "box-profile": "box-profile: knee at s = 1.08496, l2 closed form 45.8634, "
                    "grid quadrature 45.8683",
     "nm": "nm: value 0.0329861 +- 0.0072 (z = 4.61)",
+    "box-profile-k2": "box-profile: knee at s = 1.08496, l2 closed form 412.77, "
+                      "grid quadrature 427.306",
+    "box-profile-k4": "box-profile: knee at s = 0.5, l2 closed form 869.706, "
+                      "grid quadrature 827.268",
+    "nm-k4-two-slab": "nm: value 0.0013125 +- 0.00046 (z = 2.86)",
     "voxelize": "voxelize: 142 cells at h = 0.25, volume estimate 0.554688",
     "poincare": "poincare: indicator lhs 299.289 vs rhs 584, "
                 "function lhs 868.903 vs rhs 2528",
