@@ -93,10 +93,7 @@ class _OutDir:
         self.source: str | None = None  # the input, for commands that read one
 
     def lines(self, name: str, lines) -> None:
-        self.names.append(name)
-        with open(self.path / name, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        self.text(name, "".join(f"{line}\n" for line in lines))
 
     def text(self, name: str, text: str) -> None:
         self.names.append(name)
@@ -278,7 +275,7 @@ def cmd_nm(args, out) -> str:
 def cmd_voxelize(args, out) -> str:
     region = parse_region(args.region)
     S = voxelize(region, args.h, args.samples_per_cell, args.seed, args.workers)
-    out.lines("voxels.txt", S.to_lines())
+    out.text("voxels.txt", S.to_text())
     vol = S.size * args.h ** (2 * region.k + 2)
     return f"voxelize: {S.size} cells at h = {args.h:g}, volume estimate {vol:.6g}"
 

@@ -12,6 +12,14 @@ and for coordinate boxes it is piecewise exponential with log-slopes +1
 and -1 around a single knee, which makes boxes exact fixtures for the
 Monte Carlo estimator.
 
+Membership tests run along the rows of an (m, 2k+1) coordinate array
+without reducing along its short coordinate axis: ``row_sum`` adds the
+columns one by one, bit for bit what ``a.sum(axis=-1)`` gives, and the
+box ANDs its column tests.  ``Region.shift_changes`` asks which points
+the central shift by tau moves across the boundary; the box answers it
+with one horizontal test and two vertical ones, since the shift moves z
+alone.
+
 ``voxelize`` turns a region into a finite set of lattice points (the
 discrete side of the package) by majority sampling over scaled lattice
 cells.  A cell whose sample box an interval bound places wholly inside
@@ -21,6 +29,7 @@ which would all agree with that verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +46,25 @@ _BLOCK = 1 << 14
 # -- regions: vectorized membership oracles --------------------------------
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) of a float or integer array, bit for bit as numpy
+    computes it in C order, whatever the memory layout of a.
+
+    numpy adds fewer than 8 terms left to right from 0 (the + 0 turns a
+    leading -0.0 into 0.0, as numpy does), which the chain of column adds
+    repeats at a fraction of the cost of a reduction along a short axis;
+    from 8 terms on numpy sums each C-ordered row pairwise, so wider rows
+    are left to it.
+    """
+    n = a.shape[-1]
+    if n >= 8:
+        return np.ascontiguousarray(a).sum(axis=-1)
+    out = a[..., 0] + a.dtype.type(0)
+    for j in range(1, n):
+        out += a[..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class Region:
     """Base: subclasses define contains() on an (m, 2k+1) coordinate array."""
@@ -45,6 +73,13 @@ class Region:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def shift_changes(self, pts: np.ndarray, tau: float) -> np.ndarray:
+        """contains(pts) != contains(pts with z - tau): the points that the
+        central shift by tau moves across the boundary."""
+        shifted = pts.copy(order="K")
+        shifted[:, -1] -= tau
+        return self.contains(pts) != self.contains(shifted)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -72,8 +107,8 @@ class QuasiBall(Region):
 
     def contains(self, pts):
         k = self.k
-        l1 = np.abs(pts[:, : 2 * k]).sum(axis=1)
-        return l1 + 4.0 * np.sqrt(np.abs(pts[:, 2 * k])) <= self.R
+        a = np.abs(pts)
+        return row_sum(a[:, : 2 * k]) + 4.0 * np.sqrt(a[:, 2 * k]) <= self.R
 
     def bounding_box(self):
         k, R = self.k, self.R
@@ -86,8 +121,8 @@ class QuasiBall(Region):
         # the smallest and the largest absolute coordinates
         amin, amax = _abs_range(lo, hi)
         k = self.k
-        q_lo = amin[:, : 2 * k].sum(axis=1) + 4.0 * np.sqrt(amin[:, 2 * k])
-        q_hi = amax[:, : 2 * k].sum(axis=1) + 4.0 * np.sqrt(amax[:, 2 * k])
+        q_lo = row_sum(amin[:, : 2 * k]) + 4.0 * np.sqrt(amin[:, 2 * k])
+        q_hi = row_sum(amax[:, : 2 * k]) + 4.0 * np.sqrt(amax[:, 2 * k])
         return _verdict(q_hi <= self.R, q_lo > self.R)
 
 
@@ -97,9 +132,19 @@ class Box(Region):
 
     r: float
 
+    def _horizontal(self, pts):
+        r = self.r
+        inside = np.abs(pts[:, 0]) <= r
+        for j in range(1, 2 * self.k):
+            inside &= np.abs(pts[:, j]) <= r
+        return inside
+
     def contains(self, pts):
-        k, r = self.k, self.r
-        return (np.abs(pts[:, : 2 * k]) <= r).all(axis=1) & (np.abs(pts[:, 2 * k]) <= r * r)
+        return self._horizontal(pts) & (np.abs(pts[:, 2 * self.k]) <= self.r * self.r)
+
+    def shift_changes(self, pts, tau):
+        z, top = pts[:, 2 * self.k], self.r * self.r
+        return self._horizontal(pts) & ((np.abs(z) <= top) != (np.abs(z - tau) <= top))
 
     def bounding_box(self):
         k, r = self.k, self.r
@@ -252,10 +297,11 @@ def _mc_block(payload) -> int:
     region, lo, hi, tau, m, seed, idx = payload
     dim = len(lo)
     U = uniform_matrix(substream_seeds(seed, idx, 1), m * dim).reshape(m, dim)
-    pts = lo + (hi - lo) * U
-    shifted = pts.copy()
-    shifted[:, dim - 1] -= tau
-    return int(np.sum(region.contains(pts) != region.contains(shifted)))
+    # lo + (hi - lo) U, laid out coordinate by coordinate so that every
+    # column the membership tests read is contiguous
+    pts = np.multiply(U.T, (hi - lo)[:, None], order="C")
+    pts += lo[:, None]
+    return int(np.count_nonzero(region.shift_changes(pts.T, tau)))
 
 
 def _mc_one_scale(region: Region, s: float, samples: int, seed: int, workers: int):
@@ -355,24 +401,35 @@ def _candidate_cells(region: Region, h: float) -> np.ndarray:
     xy_lo = np.floor(lo[: 2 * k] / h).astype(np.int64) - 1
     xy_hi = np.ceil(hi[: 2 * k] / h).astype(np.int64) + 1
     z_lo, z_hi = lo[2 * k] / (h * h), hi[2 * k] / (h * h)
+    # margin >= 1.5 below gives every xy column at least z_hi - z_lo + 4
+    # candidates (3 + floor of it, with room for rounding), so the grid is
+    # refused before it is built when that many already pass the cap
+    columns = math.prod(float(b - a + 1) for a, b in zip(xy_lo, xy_hi))
+    if columns * (3.0 + max(1.0, math.floor(z_hi - z_lo))) > _CELL_CAP:
+        raise ResourceCapError(f"voxel candidate count exceeds {_CELL_CAP}; increase h")
 
     ranges = [np.arange(a, b + 1) for a, b in zip(xy_lo, xy_hi)]
-    xy_grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 2 * k)
+    grids = np.meshgrid(*ranges, indexing="ij", copy=False)
+    xy_grid = np.stack([g.ravel() for g in grids]).T  # one row per xy column
     x = xy_grid[:, :k]
     y = xy_grid[:, k:]
-    xy_half = (x * y).sum(axis=1) / 2.0
+    xy_half = row_sum(x * y) / 2.0
     # cell z-deviation from its center: u_w + x.u_y/2 - u_x.y/2 - u_x.u_y/2
-    margin = 1.5 + (np.abs(x).sum(axis=1) + np.abs(y).sum(axis=1)) / 4.0 + k / 8.0
+    margin = 1.5 + row_sum(np.abs(xy_grid)) / 4.0 + k / 8.0
     w_lo = np.floor(z_lo + xy_half - margin).astype(np.int64)
     w_hi = np.ceil(z_hi + xy_half + margin).astype(np.int64)
     counts = w_hi - w_lo + 1
     total = int(counts.sum())
     if total > _CELL_CAP:
         raise ResourceCapError(f"voxel candidate count exceeds {_CELL_CAP}; increase h")
-    # "ij" meshgrid order with w ascending in each column is lexicographic
-    rows = np.repeat(np.arange(len(xy_grid)), counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.column_stack([xy_grid[rows], w_lo[rows] + offs])
+    # "ij" meshgrid order with w ascending in each column is lexicographic;
+    # the cells are stored coordinate by coordinate
+    cells = np.empty((2 * k + 1, total), dtype=np.int64)
+    for j in range(2 * k):
+        cells[j] = np.repeat(xy_grid[:, j], counts)
+    cells[2 * k] = np.repeat(w_lo - (np.cumsum(counts) - counts), counts)
+    cells[2 * k] += np.arange(total)
+    return cells.T
 
 
 def _cell_boxes(cells: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -386,14 +443,18 @@ def _cell_boxes(cells: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     coordinates, which sqrt near z = 0 would otherwise magnify.
     """
     k = (cells.shape[1] - 1) // 2
-    c = cells.astype(float)
+    c = cells.astype(float, order="F")  # columns contiguous
     x, y, w = c[:, :k], c[:, k : 2 * k], c[:, 2 * k]
     corners = [(x + a) * (y + b) for a in (-0.5, 0.5) for b in (-0.5, 0.5)]
-    prod_lo = np.minimum.reduce(corners).sum(axis=1) / 2.0
-    prod_hi = np.maximum.reduce(corners).sum(axis=1) / 2.0
-    spread = 0.5 + 0.5 * np.abs(x).sum(axis=1)
-    lo = np.column_stack([h * (x - 0.5), h * (y - 0.5), h * h * (w - spread - prod_hi)])
-    hi = np.column_stack([h * (x + 0.5), h * (y + 0.5), h * h * (w + spread - prod_lo)])
+    prod_lo = row_sum(functools.reduce(np.minimum, corners)) / 2.0
+    prod_hi = row_sum(functools.reduce(np.maximum, corners)) / 2.0
+    spread = 0.5 + 0.5 * row_sum(np.abs(x))
+    lo = np.empty(c.shape, order="F")
+    hi = np.empty(c.shape, order="F")
+    lo[:, : 2 * k] = h * (c[:, : 2 * k] - 0.5)
+    hi[:, : 2 * k] = h * (c[:, : 2 * k] + 0.5)
+    lo[:, 2 * k] = h * h * (w - spread - prod_hi)
+    hi[:, 2 * k] = h * h * (w + spread - prod_lo)
     pad = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
     return lo - pad, hi + pad
 
@@ -403,18 +464,18 @@ def _inside_counts(region: Region, h: float, spc: int, seeds, cells) -> np.ndarr
     k = region.k
     m = len(cells)
     dim = 2 * k + 1
-    U = uniform_matrix(seeds, spc * dim).reshape(m, spc, dim) - 0.5
-    x = cells[:, :k].astype(float)[:, None, :]
-    y = cells[:, k : 2 * k].astype(float)[:, None, :]
-    w = cells[:, 2 * k].astype(float)[:, None]
-    px = x + U[:, :, :k]
-    py = y + U[:, :, k : 2 * k]
-    pw = w + U[:, :, 2 * k] + (U[:, :, k : 2 * k] * x).sum(axis=2)
-    pz = pw - (px * py).sum(axis=2) / 2.0  # integer chart to exponential
-    pts = np.concatenate(
-        [h * px, h * py, (h * h * pz)[:, :, None]], axis=2
-    ).reshape(m * spc, dim)
-    return region.contains(pts).reshape(m, spc).sum(axis=1)
+    # coordinate j of sample s of cell i sits at [j, i, s]
+    U = uniform_matrix(seeds, spc * dim).reshape(m * spc, dim).T
+    U = np.subtract(U, 0.5, order="C").reshape(dim, m, spc)
+    c = cells.T.astype(float)[:, :, None]
+    p = c + U  # x + U_x, y + U_y, w + U_w
+    px, py = p[:k], p[k : 2 * k]
+    pw = p[2 * k] + row_sum(np.moveaxis(U[k : 2 * k] * c[:k], 0, -1))
+    pz = pw - row_sum(np.moveaxis(px * py, 0, -1)) / 2.0  # integer chart to exponential
+    pts = np.empty((dim, m, spc))
+    pts[: 2 * k] = h * p[: 2 * k]
+    pts[2 * k] = h * h * pz
+    return region.contains(pts.reshape(dim, m * spc).T).reshape(m, spc).sum(axis=1)
 
 
 def _voxel_block(payload) -> np.ndarray:

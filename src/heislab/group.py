@@ -11,8 +11,10 @@ with identity (0, 0, 0) and inverse (-x, -y, -w + x . y).
 
 The library computes on int64 coordinate rows (x_1..x_k, y_1..y_k, w):
 ``quotient_rows`` forms g^-1 h for a whole block of rows h at once.
-``DiscreteElement`` is the scalar form of the same law on Python ints,
-and ``row_text`` the text of one element.
+``DiscreteElement`` is the scalar form of the same law on Python ints.
+Element text k;x1,..,xk;y1,..,yk;w comes from one format string per k,
+``row_format``, which ``row_text`` fills for one row and
+``perimeter.FiniteSet.to_text`` for a whole set.
 
 The continuous group's regions (``heislab.continuum``) use exponential
 coordinates (x, y, z), linked to this chart by w = z + (x . y) / 2.
@@ -23,6 +25,7 @@ operation that would leave it raises OverflowError instead of wrapping.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +82,16 @@ class DiscreteElement:
         return row_text(self.k, self.coords())
 
 
+@functools.cache
+def row_format(k: int) -> str:
+    """str.format template of the element text k;x1,..,xk;y1,..,yk;w."""
+    fields = ",".join(["{}"] * k)
+    return f"{k};{fields};{fields};{{}}"
+
+
 def row_text(k: int, row) -> str:
-    """Element text k;x1,..,xk;y1,..,yk;w of a coordinate row of ints."""
-    xs = ",".join(map(str, row[:k]))
-    ys = ",".join(map(str, row[k : 2 * k]))
-    return f"{k};{xs};{ys};{row[2 * k]}"
+    """Element text of a coordinate row of ints."""
+    return row_format(k).format(*row)
 
 
 def quotient_rows(k: int, g, rows: np.ndarray) -> np.ndarray:

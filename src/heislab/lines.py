@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import QuasiBall, Region
+from .continuum import QuasiBall, Region, row_sum
 from .errors import ResourceCapError, ValidationError, require_positive
 from .parallel import block_map
 from .rng import substream_seeds, uniform_matrix
@@ -60,10 +60,13 @@ def _line_points(k: int, bases: np.ndarray, dirs: np.ndarray, taus: np.ndarray):
     # one dot product per line: a row-wise sum of products may round
     # differently for k >= 2, and every traced position would move
     slopes = np.array([0.5 * (b[:k] @ V[k:] - b[k:m] @ V[:k]) for b, V in zip(bases, dirs)])
-    out = np.empty((len(bases), len(taus), m + 1))
-    out[:, :, :m] = bases[:, None, :m] + taus[None, :, None] * dirs[:, None, :]
-    out[:, :, m] = bases[:, m, None] + taus[None, :] * slopes[:, None]
-    return out
+    # stored coordinate by coordinate, so each coordinate is one broadcast
+    # over (lines, positions) and the membership tests read whole columns
+    out = np.empty((m + 1, len(bases), len(taus)))
+    for j in range(m):
+        out[j] = bases[:, j, None] + taus[None, :] * dirs[:, j, None]
+    out[m] = bases[:, m, None] + taus[None, :] * slopes[:, None]
+    return out.transpose(1, 2, 0)
 
 
 def _line_block(k: int, R: float, seed: int, start: int, count: int):
@@ -82,8 +85,8 @@ def _line_block(k: int, R: float, seed: int, start: int, count: int):
     u = uniform_matrix(substream_seeds(seed, start, count), 3 * m + 4)
     expo = -np.log(1.0 - u[:, :m])  # exponentials for the l1 direction
     signs = np.where(u[:, m : 2 * m] < 0.5, 1.0, -1.0)
-    g1 = expo.sum(axis=1)  # Gamma(2k), reused from the direction draws
-    g2 = -np.log(1.0 - u[:, 2 * m : 2 * m + 3]).sum(axis=1)  # Gamma(3)
+    g1 = row_sum(expo)  # Gamma(2k), reused from the direction draws
+    g2 = -row_sum(np.log(1.0 - u[:, 2 * m : 2 * m + 3]))  # Gamma(3)
     rho = R * g1 / (g1 + g2)  # l1 radius with density rho^(2k-1)(R-rho)^2
     bases = np.empty((count, m + 1))
     bases[:, :m] = rho[:, None] * signs * (expo / g1[:, None])

@@ -35,7 +35,7 @@ from math import fsum
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError, require_seed
-from .group import row_text
+from .group import row_format
 from .rng import Rng, substream_seeds
 
 _EPS = 2.0 ** -52
@@ -134,9 +134,10 @@ class FiniteSet:
         cuts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
         return np.split(self.rows[:, 2 * self.k], cuts)
 
-    def to_lines(self):
-        k = self.k
-        return (row_text(k, row) for row in self.rows.tolist())
+    def to_text(self) -> str:
+        """One element text line per member, in lexicographic order."""
+        line = row_format(self.k) + "\n"
+        return (line * self.size).format(*self.rows.ravel().tolist())
 
 
 def horizontal_perimeter(S: FiniteSet) -> int:

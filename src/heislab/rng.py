@@ -44,20 +44,26 @@ _STREAM_BLOCK = 1024  # uniforms that Rng.stream draws at a time
 def _splitmix64(seeds, counters: np.ndarray) -> np.ndarray:
     """out(i) of the stream seeded by ``seeds`` at each counter i; seeds and
     counters are uint64 and broadcast against each other."""
+    z = np.empty(np.broadcast_shapes(np.shape(seeds), counters.shape), dtype=np.uint64)
+    shifted = np.empty_like(z)  # the one temporary of the xor-shifts
     with np.errstate(over="ignore"):
         # state = seed + (i + 1) * golden, with the one golden added per seed
-        z = (seeds + np.uint64(_GOLDEN)) + counters * np.uint64(_GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return z
+        np.multiply(counters, np.uint64(_GOLDEN), out=z)
+        z += seeds + np.uint64(_GOLDEN)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(mix)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
-    """Uniform doubles in [0, 1) from the top 53 bits of each output."""
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    """Uniform doubles in [0, 1) from the top 53 bits of each output; z is
+    shifted in place."""
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0 ** -53
+    return out
 
 
 def substream_seeds(seed: int, start: int, n: int) -> np.ndarray:

@@ -60,7 +60,7 @@ def element_from_text(text: str) -> DiscreteElement:
 
 
 def set_from_lines(lines) -> FiniteSet:
-    """Inverse of FiniteSet.to_lines."""
+    """Inverse of FiniteSet.to_text, given its lines."""
     els = [element_from_text(ln) for ln in lines if ln.strip()]
     if not els:
         raise ValidationError("no elements in input")

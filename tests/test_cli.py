@@ -521,6 +521,25 @@ def test_nm_steps_over_the_trace_budget_exit_3(tmp_path, capsys):
     assert "positions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "region, h",
+    [("two-slab:k=4,R=1,a=0.2,axis=7", "0.5"), ("quasi-ball:k=2,R=1.5", "0.1")],
+    ids=["two-slab-k4", "quasi-ball-k2"],
+)
+def test_oversized_voxel_grids_exit_3(tmp_path, capsys, region, h):
+    # 7^8 and 33^4 xy columns: refused before the grid of columns is built
+    tracemalloc.start()
+    try:
+        rc = main(["voxelize", "--region", region, "--h", h, "--out-dir", str(tmp_path)])
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 64 << 20
+    assert "voxel candidate count exceeds 5000000" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_growth_under_mem_cap(tmp_path):
     # ball(2, 8) has 28,825 points, about 1.5 MiB
     rc = main(["growth", "--k", "2", "--r-max", "8", "--mem-cap-mib", "100",

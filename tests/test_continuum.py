@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from continuum_oracles import Dilation, quasi_ball_volume, scaling_check
 from heislab.continuum import (
@@ -20,6 +21,7 @@ from heislab.continuum import (
     mc_vertical_profile,
     parse_region,
     profile_l2_norm,
+    row_sum,
     voxelize,
 )
 from heislab.errors import ResourceCapError, ValidationError
@@ -264,3 +266,83 @@ def test_unscreened_regions_decide_nothing():
     hi = lo + 0.05
     for region in (Box(1, 1.0), Dilation(1, QuasiBall(1, 2.0), 2.0)):
         assert region.box_verdict(lo, hi).tolist() == [0, 0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def _wide_slices(draw):
+    """A non-contiguous 2-d or 3-d slice of width 1..16 and its C-ordered
+    copy; values span many binades, both signs and both zeros."""
+    width = draw(st.integers(1, 16))
+    rows = draw(st.integers(1, 12))
+    three_d = draw(st.booleans())
+    shape = (3, rows, width + 3) if three_d else (2 * rows, width + 3)
+    elements = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    a = draw(hnp.arrays(np.float64, shape, elements=elements))
+    off = draw(st.integers(0, 3))
+    view = a[::2, :, off : off + width] if three_d else a[::2, off : off + width]
+    return view, np.ascontiguousarray(view)
+
+
+@given(_wide_slices())
+@settings(max_examples=300, deadline=None)
+def test_row_sum_is_numpy_sum_bit_for_bit(case):
+    view, dense = case
+    want = _bits(dense.sum(axis=-1))
+    assert np.array_equal(_bits(row_sum(view)), want)
+    assert np.array_equal(_bits(view.sum(axis=-1)), want)  # the slice sums as C
+    # a coordinate-major copy reads as numpy's C-ordered sum too
+    assert np.array_equal(_bits(row_sum(np.asfortranarray(view))), want)
+
+
+@given(st.integers(1, 16), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_row_sum_of_integers(width, seed):
+    a = np.random.default_rng(seed).integers(-(2**40), 2**40, size=(9, width))
+    assert np.array_equal(row_sum(a[::2]), a[::2].sum(axis=-1))
+    assert row_sum(a).dtype == np.int64
+
+
+def _boundary_points(k, r, tau, n, seed):
+    """Points of the box's sampling window, many on |x_i| = r, |z| = r^2 or
+    |z - tau| = r^2 exactly (r, tau dyadic, so z - tau is exact)."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * k + 1
+    pts = rng.uniform(-1.5, 1.5, (n, dim)) * np.array([r] * (2 * k) + [r * r + tau])
+    pick = rng.integers(0, 4, (n, dim))
+    pts[:, : 2 * k] = np.where(pick[:, : 2 * k] == 0, r, pts[:, : 2 * k])
+    pts[:, : 2 * k] = np.where(pick[:, : 2 * k] == 1, -r, pts[:, : 2 * k])
+    edges = np.array([r * r, -r * r, tau + r * r, tau - r * r])
+    z_edge = edges[rng.integers(0, 4, n)]
+    pts[:, 2 * k] = np.where(pick[:, 2 * k] < 2, z_edge, pts[:, 2 * k])
+    return pts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [0.25, 1.0, 2.0, 16.0])
+def test_shift_changes_is_the_two_membership_tests(k, tau):
+    r = 1.25
+    regions = [
+        Box(k, r),
+        QuasiBall(k, 2.0 * r),
+        HalfSpaceCap(k, 2.0 * r, 2 * k - 1, 0.5),
+        SlabComplementCap(k, 2.0 * r, r, 0),
+        Dilation(k, Box(k, r / 2.0), 2.0),
+    ]
+    pts = _boundary_points(k, r, tau, 4000, seed=100 * k + int(4 * tau))
+    assert np.any(np.abs(pts[:, 0]) == r) and np.any(np.abs(pts[:, -1] - tau) == r * r)
+    shifted = pts.copy()
+    shifted[:, -1] -= tau
+    for region in regions:
+        want = region.contains(pts) != region.contains(shifted)
+        for layout in (pts, np.asfortranarray(pts)):  # row- and coordinate-major
+            got = region.shift_changes(layout, tau)
+            assert got.dtype == bool and np.array_equal(got, want), region
+    # the box's column tests against the plain formula, boundaries included
+    box = regions[0]
+    inside = (np.abs(pts[:, : 2 * k]) <= r).all(axis=1) & (np.abs(pts[:, -1]) <= r * r)
+    assert np.array_equal(box.contains(pts), inside)
+    assert np.any(box.shift_changes(pts, tau)) and not np.all(box.shift_changes(pts, tau))

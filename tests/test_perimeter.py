@@ -50,7 +50,7 @@ def test_finite_set_basics():
 
 def test_lines_roundtrip():
     S = random_blob(2, 40, 5)
-    back = set_from_lines(list(S.to_lines()))
+    back = set_from_lines(S.to_text().splitlines())
     assert back == S
 
 
