@@ -398,17 +398,19 @@ def _candidate_cells(region: Region, h: float) -> np.ndarray:
     lexicographic order; position i draws from substream i."""
     k = region.k
     lo, hi = region.bounding_box()
-    xy_lo = np.floor(lo[: 2 * k] / h).astype(np.int64) - 1
-    xy_hi = np.ceil(hi[: 2 * k] / h).astype(np.int64) + 1
+    xy_lo = np.floor(lo[: 2 * k] / h) - 1
+    xy_hi = np.ceil(hi[: 2 * k] / h) + 1
     z_lo, z_hi = lo[2 * k] / (h * h), hi[2 * k] / (h * h)
     # margin >= 1.5 below gives every xy column at least z_hi - z_lo + 4
     # candidates (3 + floor of it, with room for rounding), so the grid is
-    # refused before it is built when that many already pass the cap
-    columns = math.prod(float(b - a + 1) for a, b in zip(xy_lo, xy_hi))
-    if columns * (3.0 + max(1.0, math.floor(z_hi - z_lo))) > _CELL_CAP:
+    # refused before it is built when that many already pass the cap; the
+    # count is in floats, which reach inf instead of wrapping
+    columns = math.prod((xy_hi - xy_lo + 1).tolist())
+    if columns * (3.0 + max(1.0, float(np.floor(z_hi - z_lo)))) > _CELL_CAP:
         raise ResourceCapError(f"voxel candidate count exceeds {_CELL_CAP}; increase h")
 
-    ranges = [np.arange(a, b + 1) for a, b in zip(xy_lo, xy_hi)]
+    bounds = zip(xy_lo.astype(np.int64), xy_hi.astype(np.int64))
+    ranges = [np.arange(a, b + 1) for a, b in bounds]
     grids = np.meshgrid(*ranges, indexing="ij", copy=False)
     xy_grid = np.stack([g.ravel() for g in grids]).T  # one row per xy column
     x = xy_grid[:, :k]

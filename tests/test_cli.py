@@ -523,11 +523,13 @@ def test_nm_steps_over_the_trace_budget_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "region, h",
-    [("two-slab:k=4,R=1,a=0.2,axis=7", "0.5"), ("quasi-ball:k=2,R=1.5", "0.1")],
-    ids=["two-slab-k4", "quasi-ball-k2"],
+    [("two-slab:k=4,R=1,a=0.2,axis=7", "0.5"), ("quasi-ball:k=2,R=1.5", "0.1"),
+     ("quasi-ball:k=1,R=3", "1e-100")],
+    ids=["two-slab-k4", "quasi-ball-k2", "quasi-ball-h-1e-100"],
 )
 def test_oversized_voxel_grids_exit_3(tmp_path, capsys, region, h):
-    # 7^8 and 33^4 xy columns: refused before the grid of columns is built
+    # 7^8, 33^4 and about 10^201 xy columns: refused before the grid of
+    # columns is built
     tracemalloc.start()
     try:
         rc = main(["voxelize", "--region", region, "--h", h, "--out-dir", str(tmp_path)])
