@@ -4,16 +4,16 @@ The graph has the 4k standard generators as edge moves, acting by right
 multiplication.  Every element is an int64 coordinate row (x_1..x_k,
 y_1..y_k, w), the identity the zero row.  Frontier expansion is
 vectorized: a level is a block of rows, neighbors come from
-perimeter.generator_step, and dedup/visited tests run on packed int64
-keys over the search window.  A finished ball is a perimeter.FiniteSet
-with a distance per row, so members are reported in lexicographic
-coordinate order; its ``points.locate`` looks up a block of rows.
+perimeter.generator_step, and dedup/visited tests run on the packed
+keys of a perimeter.KeyWindow holding the search.  A finished ball is a
+perimeter.FiniteSet with a distance per row, so members are reported in
+lexicographic coordinate order; its ``points.locate`` looks up a block
+of rows.
 
-Word distances up to radius ONE_SIDED_MAX come from one BFS from the
-identity over the window of ball(); _ball_distances answers a whole
-block of rows from that one search.  Beyond that radius word_distance
-meets in the middle, one row at a time.  word_upper_bound bounds a whole
-block of rows from explicit spellings.
+ball and _ball_distances share one search from the identity over the
+window of B_r; _ball_distances answers a whole block of rows from it.
+word_distance answers one row by meeting in the middle, and
+word_upper_bound bounds a whole block of rows from explicit spellings.
 """
 
 from __future__ import annotations
@@ -23,53 +23,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .perimeter import FiniteSet, _pack, check_key_window, generator_step
-
-
-# largest radius answered by the one-sided BFS from the identity
-ONE_SIDED_MAX = 8
+from .perimeter import FiniteSet, KeyWindow, generator_step
 
 
 class _Side:
     """One direction of a (possibly bidirectional) BFS."""
 
-    def __init__(self, k: int, start, lows, spans):
+    def __init__(self, k: int, start, window: KeyWindow):
         self.k = k
-        self.lows = np.asarray(lows, dtype=np.int64)
-        self.spans = np.asarray(spans, dtype=np.int64)
-        check_key_window(self.spans)
+        self.window = window
         self.frontier = np.array([start], dtype=np.int64)
         self.levels = [self.frontier]
         self.radius = 0
-        keys = _pack(self.frontier, self.lows, self.spans)
-        self.visited_keys = keys
+        self.visited_keys = window.pack(self.frontier)
         self.visited_dist = np.zeros(1, dtype=np.int64)
 
     def expand(self) -> np.ndarray:
         """Advance one level; returns the packed keys of the new frontier."""
-        if len(self.frontier) == 0:
-            return np.empty(0, dtype=np.int64)
         nbrs = np.concatenate(
             [generator_step(self.k, self.frontier, j) for j in range(4 * self.k)]
         )
-        keys = _pack(nbrs, self.lows, self.spans)
-        keys, first = np.unique(keys, return_index=True)
+        keys, first = np.unique(self.window.pack(nbrs), return_index=True)
         nbrs = nbrs[first]
-        pos = np.searchsorted(self.visited_keys, keys)
-        pos = np.clip(pos, 0, len(self.visited_keys) - 1)
-        fresh = self.visited_keys[pos] != keys
+        fresh = self.dist_of(keys) < 0
         keys, nbrs = keys[fresh], nbrs[fresh]
         self.radius += 1
         self.frontier = nbrs
         self.levels.append(nbrs)
-        order = np.argsort(
-            np.concatenate([self.visited_keys, keys]), kind="stable"
-        )
-        allk = np.concatenate([self.visited_keys, keys])[order]
+        allk = np.concatenate([self.visited_keys, keys])
+        order = np.argsort(allk, kind="stable")
         alld = np.concatenate(
             [self.visited_dist, np.full(len(keys), self.radius, dtype=np.int64)]
-        )[order]
-        self.visited_keys, self.visited_dist = allk, alld
+        )
+        self.visited_keys, self.visited_dist = allk[order], alld[order]
         return keys
 
     def dist_of(self, keys: np.ndarray) -> np.ndarray:
@@ -101,59 +87,54 @@ class Ball:
         return np.bincount(self.dists, minlength=self.radius + 1)
 
 
-def _ball_window(k: int, r: int):
-    """(lows, spans) of a coordinate window holding all of B_r."""
-    lows = np.array([-r] * (2 * k) + [-r * r - 1], dtype=np.int64)
-    spans = np.array([2 * r + 1] * (2 * k) + [2 * r * r + 3], dtype=np.int64)
-    return lows, spans
+def _ball_window(k: int, r: int) -> KeyWindow:
+    """A coordinate window holding all of B_r: |x_i|, |y_i| <= r, |w| <= r^2 + 1."""
+    return KeyWindow([-r] * (2 * k) + [-r * r - 1], [r] * (2 * k) + [r * r + 1])
+
+
+def _search_from_identity(k: int, r: int, mem_cap_mib: float, targets=None) -> _Side:
+    """BFS from the identity over the window of B_r, to radius r, or only
+    until every packed key in ``targets`` has been reached.
+
+    Memory is guarded level by level against the visited set and the
+    next frontier, so only a search that outgrows the cap is refused.
+    """
+    cap = int(mem_cap_mib * (1 << 20))
+    side = _Side(k, np.zeros(2 * k + 1), _ball_window(k, r))
+    while side.radius < r and (targets is None or np.any(side.dist_of(targets) < 0)):
+        if side.bytes_estimate() > cap:
+            raise ResourceCapError("memory cap exceeded during ball BFS")
+        side.expand()
+    return side
 
 
 def _ball_distances(k: int, rows, r_max: int, mem_cap_mib: float = 4096.0) -> np.ndarray:
     """d_W(1, g) for each row g of a block, or -1 where it exceeds r_max.
 
-    One BFS from the identity over the window of ball(k, r_max), which
+    One search from the identity over the window of ball(k, r_max), which
     stops as soon as every row inside that window has been reached; rows
-    outside it lie outside B_r_max.  Memory is guarded level by level
-    against the visited set, as in ball() and word_distance, so the
-    search only grows as far as the farthest row asks.
+    outside it lie outside B_r_max.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * k + 1)
-    cap = int(mem_cap_mib * (1 << 20))
-    lows, spans = _ball_window(k, r_max)
-    inside = np.all((rows >= lows) & (rows < lows + spans), axis=1)
-    keys = _pack(rows[inside], lows, spans)
-    side = _Side(k, np.zeros(2 * k + 1), lows, spans)
-    pending = keys[side.dist_of(keys) < 0]
-    while len(pending) and side.radius < r_max:
-        if side.bytes_estimate() > cap:
-            raise ResourceCapError("memory cap exceeded during BFS")
-        side.expand()
-        pending = pending[side.dist_of(pending) < 0]
+    window = _ball_window(k, r_max)
+    inside = window.contains(rows)
+    keys = window.pack(rows[inside])
     out = np.full(len(rows), -1, dtype=np.int64)
-    out[inside] = side.dist_of(keys)
+    out[inside] = _search_from_identity(k, r_max, mem_cap_mib, keys).dist_of(keys)
     return out
 
 
 def ball(k: int, r: int, mem_cap_mib: float = 4096.0) -> Ball:
-    """Closed ball of radius r around the identity.
-
-    Memory is guarded level by level against the visited set and the
-    next frontier, so only a ball that outgrows the cap is refused.
-    """
+    """Closed ball of radius r around the identity."""
     if k < 1:
         raise ValidationError("lattice rank k must be >= 1")
     if r < 0:
         raise ValidationError("radius must be >= 0")
-    cap = int(mem_cap_mib * (1 << 20))
-    side = _Side(k, np.zeros(2 * k + 1), *_ball_window(k, r))
-    for _ in range(r):
-        if side.bytes_estimate() > cap:
-            raise ResourceCapError("memory cap exceeded during ball BFS")
-        side.expand()
+    side = _search_from_identity(k, r, mem_cap_mib)
     coords = np.concatenate(side.levels, axis=0)
     dists = np.repeat(np.arange(len(side.levels)), [len(lv) for lv in side.levels])
     # key order is lexicographic order, which FiniteSet keeps for sorted rows
-    order = np.argsort(_pack(coords, side.lows, side.spans))
+    order = np.argsort(side.window.pack(coords))
     return Ball(k, r, FiniteSet(k, coords[order]), dists[order])
 
 
@@ -168,64 +149,47 @@ def growth_table(b: Ball):
     return rows
 
 
-def _bounds_for_pair(k: int, gx: np.ndarray, r: int):
+def _pair_window(k: int, gx: np.ndarray, r: int) -> KeyWindow:
     """A coordinate window certain to contain both BFS sides, from the
     identity and from the row gx, to radius r."""
-    lo = np.minimum(0, gx)
-    hi = np.maximum(0, gx)
-    lows = lo.copy()
-    spans = hi - lo + 1
+    lows = np.minimum(0, gx)
+    highs = np.maximum(0, gx)
     lows[: 2 * k] -= r
-    spans[: 2 * k] += 2 * r
-    xmax = int(np.max(np.abs(np.concatenate([gx[:k], np.zeros(1, dtype=np.int64)]))))
-    wslack = r * (xmax + r)
-    lows[2 * k] -= wslack + 1
-    spans[2 * k] += 2 * wslack + 3
-    return lows, spans
+    highs[: 2 * k] += r
+    wslack = r * (int(np.abs(gx[:k]).max()) + r) + 1
+    lows[2 * k] -= wslack
+    highs[2 * k] += wslack
+    return KeyWindow(lows, highs)
 
 
 def word_distance(k: int, row, r_max: int, mem_cap_mib: float = 4096.0):
     """Exact d_W(1, g) of the element g with coordinate row ``row``, or None
     when the distance certifiably exceeds r_max.
 
-    Unidirectional BFS (_ball_distances on one row) up to radius
-    ONE_SIDED_MAX, bidirectional (meeting in the middle, always
-    expanding the smaller frontier) beyond it.
+    A row outside the window of B_r_max is None at once.  Otherwise two
+    searches, from 1 and from g, meet in the middle, always expanding
+    the smaller frontier.  Until they meet, d_W(1, g) exceeds the sum of
+    their radii, so the first level that meets the other side gives the
+    distance, and radii summing to r_max without a meeting certify None.
     """
     row = np.asarray(row, dtype=np.int64)
     if not row.any():
         return 0
-    if r_max < 1:
+    if r_max < 1 or not _ball_window(k, r_max).contains(row[None])[0]:
         return None
-    if r_max <= ONE_SIDED_MAX:
-        d = int(_ball_distances(k, row, r_max, mem_cap_mib)[0])
-        return None if d < 0 else d
     cap = int(mem_cap_mib * (1 << 20))
-    lows, spans = _bounds_for_pair(k, row, r_max)
-    fwd = _Side(k, np.zeros_like(row), lows, spans)
-    bwd = _Side(k, row, lows, spans)
-    best = None
-    while True:
-        if fwd.radius + bwd.radius >= (best if best is not None else r_max + 1):
-            return best
-        side, other = (
-            (fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier) else (bwd, fwd)
-        )
+    window = _pair_window(k, row, r_max)
+    fwd = _Side(k, np.zeros_like(row), window)
+    bwd = _Side(k, row, window)
+    while fwd.radius + bwd.radius < r_max:
+        side, other = (fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier) else (bwd, fwd)
         if side.bytes_estimate() + other.bytes_estimate() > cap:
             raise ResourceCapError("memory cap exceeded during bidirectional BFS")
-        new_keys = side.expand()
-        if len(new_keys) == 0:
-            return best
-        met = other.dist_of(new_keys)
+        met = other.dist_of(side.expand())
         met = met[met >= 0]
         if len(met):
-            cand = side.radius + int(np.min(met))
-            if best is None or cand < best:
-                best = cand
-        if best is not None and best > r_max:
-            best = None
-            if fwd.radius + bwd.radius >= r_max + 1:
-                return None
+            return side.radius + int(met.min())
+    return None
 
 
 def central_word_upper_bound(m: np.ndarray) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 A finite set is kept as lexicographically sorted, unique coordinate rows
 (x_1..x_k, y_1..y_k, w) together with their mixed-radix int64 keys over
-the set's own bounding window, so looking up a block of rows is one
-``searchsorted``.  ``generator_step`` is the one generator action: it
-right-multiplies every row of a block by one standard generator, and
-every neighbour in the package, random_blob's included, comes from it.
+the set's own bounding box, so looking up a block of rows is one
+``searchsorted``.  ``KeyWindow`` owns that key format, for these sets
+and for the searches of ``cayley``.  ``generator_step`` is the one
+generator action: it right-multiplies every row of a block by one
+standard generator, and every neighbour in the package, random_blob's
+included, comes from it.
 ``group.DiscreteElement.__mul__`` stays only as the scalar reference
 for the tests and for ``perfbench/tracer.py``.
 
@@ -41,22 +43,37 @@ from .rng import Rng, substream_seeds
 _EPS = 2.0 ** -52
 
 
-def check_key_window(spans) -> None:
-    """Refuse a coordinate window whose packed keys would not fit int64."""
-    if math.prod(int(s) for s in spans) >= 1 << 63:
-        raise ResourceCapError("coordinate window does not fit packed keys")
+class KeyWindow:
+    """The coordinate box [lows, highs] and its mixed-radix int64 keys.
 
-
-def _pack(coords: np.ndarray, lows: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Mixed-radix packing of coordinate rows into int64 keys.
-
-    Key order equals lexicographic coordinate order as long as every
-    row sits inside [lows, lows + spans).
+    The one owner of the packed-key format: key order is lexicographic
+    row order for rows inside the box, and a box whose keys would not
+    fit int64 is refused here.
     """
-    key = np.zeros(len(coords), dtype=np.int64)
-    for j in range(coords.shape[1]):
-        key = key * spans[j] + (coords[:, j] - lows[j])
-    return key
+
+    def __init__(self, lows, highs):
+        self.lows = np.asarray(lows, dtype=np.int64)
+        self.highs = np.asarray(highs, dtype=np.int64)
+        spans = [int(h) - int(lo) + 1 for lo, h in zip(self.lows, self.highs)]
+        if math.prod(spans) >= 1 << 63:
+            raise ResourceCapError("coordinate window does not fit packed keys")
+        self.spans = np.array(spans, dtype=np.int64)
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row lies in the box: both bounds of every coordinate,
+        tested one column at a time."""
+        inside = np.ones(len(rows), dtype=bool)
+        for j, (lo, hi) in enumerate(zip(self.lows.tolist(), self.highs.tolist())):
+            col = rows[:, j]
+            inside &= (col >= lo) & (col <= hi)
+        return inside
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of rows inside the box; a row outside gets a meaningless key."""
+        key = np.zeros(len(rows), dtype=np.int64)
+        for j in range(len(self.spans)):
+            key = key * self.spans[j] + (rows[:, j] - self.lows[j])
+        return key
 
 
 def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
@@ -94,12 +111,8 @@ class FiniteSet:
             raise ValidationError("finite set must be nonempty")
         if rows.ndim != 2 or rows.shape[1] != 2 * k + 1:
             raise ValidationError("coordinate row length mismatch")
-        self._lows = rows.min(axis=0)
-        self._highs = rows.max(axis=0)
-        spans = [int(h) - int(lo) + 1 for lo, h in zip(self._lows, self._highs)]
-        check_key_window(spans)
-        self._spans = np.array(spans, dtype=np.int64)
-        keys = _pack(rows, self._lows, self._spans)
+        self.window = KeyWindow(rows.min(axis=0), rows.max(axis=0))
+        keys = self.window.pack(rows)
         if not np.all(keys[1:] > keys[:-1]):  # most callers pass sorted rows
             keys, first = np.unique(keys, return_index=True)
             rows = rows[first]
@@ -120,8 +133,8 @@ class FiniteSet:
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row in self.rows, or -1 where it is not a member."""
-        inside = np.all((rows >= self._lows) & (rows <= self._highs), axis=1)
-        keys = _pack(rows[inside], self._lows, self._spans)
+        inside = self.window.contains(rows)
+        keys = self.window.pack(rows[inside])
         at = np.minimum(np.searchsorted(self.keys, keys), self.size - 1)
         hit = self.keys[at] == keys
         pos = np.full(len(rows), -1, dtype=np.int64)

@@ -105,6 +105,8 @@ class LatticeFunction:
             raise ValidationError("empty value range")
         if lo == hi == 0:
             raise ValidationError("value range admits only the zero function")
+        if hi - lo + 1 > 1 << 50:
+            raise ValidationError(f"value range has at most 2^50 integers, got {hi - lo + 1}")
         vals = (Rng(seed).integers(S.size, hi - lo + 1) + lo).astype(float)
         if not vals.any():
             # all-zero draw degenerates; pin one member so the support is nonempty
@@ -217,17 +219,22 @@ class LocalSides:
     alpha: float
 
 
+# largest R at which _rhs_window settles its open rows by one block search
+# from the identity; beyond it, by one meet-in-the-middle search per row
+_BLOCK_SEARCH_MAX = 8
+
+
 def _rhs_window(phi: LatticeFunction, R: int, mem_cap_mib: float = 4096.0) -> np.ndarray:
     """The rows of the support and its generator neighbours that lie in
     B_R, in lexicographic order.
 
     A row is in B_R when its word-length upper bound is at most R; the
     rows that bound leaves open are settled by exact distance: up to
-    radius cayley.ONE_SIDED_MAX all at once, by one breadth-first search
+    radius _BLOCK_SEARCH_MAX all at once, by one breadth-first search
     from the identity that stops when the farthest of them is reached,
-    beyond it by one bidirectional search per row.
+    beyond it by one word_distance search per row.
     """
-    from .cayley import ONE_SIDED_MAX, _ball_distances, word_distance, word_upper_bound
+    from .cayley import _ball_distances, word_distance, word_upper_bound
 
     k, S = phi.k, phi.S
     window = FiniteSet(
@@ -236,7 +243,7 @@ def _rhs_window(phi: LatticeFunction, R: int, mem_cap_mib: float = 4096.0) -> np
     near = window.rows[np.abs(window.rows[:, : 2 * k]).sum(axis=1) <= R]
     inside = word_upper_bound(k, near) <= R
     open_rows = near[~inside]
-    if R <= ONE_SIDED_MAX:
+    if R <= _BLOCK_SEARCH_MAX:
         inside[~inside] = _ball_distances(k, open_rows, R, mem_cap_mib) >= 0
     else:
         inside[~inside] = [

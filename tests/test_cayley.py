@@ -1,4 +1,7 @@
+import sys
 from collections import deque
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from group_oracles import identity
 from heislab.cayley import (
     _ball_distances,
+    _ball_window,
     ball,
     central_word_upper_bound,
     growth_table,
@@ -21,6 +25,10 @@ from lattice_oracles import (
     scalar_central_word_upper_bound,
     scalar_word_upper_bound,
 )
+
+# the benchmark's independent breadth-first search, written from the group law
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracle  # noqa: E402
 
 
 def brute_ball(k, r):
@@ -106,9 +114,70 @@ def test_ball_distances_stop_at_farthest_row():
         _ball_distances(2, near + far, 8, mem_cap_mib=0.01)
 
 
+# largest radius the referee draws at each rank
+REFEREE_RADIUS = {1: 8, 2: 8, 3: 5}
+
+
+@lru_cache(maxsize=None)
+def _referee_rows(k):
+    """The oracle's rows of B_(r + 1) for the largest r drawn at rank k, in
+    order of distance, with their distances."""
+    dist = oracle.bfs_distances(k, REFEREE_RADIUS[k] + 1)
+    pairs = sorted(dist.items(), key=lambda item: item[1])
+    return [row for row, _ in pairs], np.array([d for _, d in pairs]), dist
+
+
+@st.composite
+def _rows_around_the_ball(draw):
+    """(k, r, rows): rows of B_r, of the sphere of radius r + 1, and rows
+    outside the window of B_r (|x_i| or |y_i| > r, or |w| > r^2 + 1).
+
+    An outside row is a row of B_r with one coordinate moved by the
+    window's span in it or a little more, so that a key test missing
+    that coordinate's bound would mistake it for a member."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=1, max_value=REFEREE_RADIUS[k]))
+    rows, dists, _ = _referee_rows(k)
+    in_ball = int(np.searchsorted(dists, r, side="right"))
+    on_sphere = int(np.searchsorted(dists, r + 1, side="right"))
+    bound = [r] * (2 * k) + [r * r + 1]
+    out = []
+    kinds = st.lists(st.sampled_from(["ball", "sphere", "outside"]), min_size=1, max_size=6)
+    for kind in draw(kinds):
+        if kind == "ball":
+            out.append(rows[draw(st.integers(0, in_ball - 1))])
+        elif kind == "sphere":
+            out.append(rows[draw(st.integers(in_ball, on_sphere - 1))])
+        else:
+            row = list(rows[draw(st.integers(0, in_ball - 1))])
+            j = draw(st.integers(0, 2 * k))
+            row[j] += draw(st.sampled_from([-1, 1])) * (2 * bound[j] + 1 + draw(st.integers(0, 3)))
+            out.append(tuple(row))
+    return k, r, out
+
+
+@given(_rows_around_the_ball())
+@settings(max_examples=120, deadline=None)
+def test_searches_match_independent_bfs(case):
+    k, r, rows = case
+    dist = _referee_rows(k)[2]
+    # rows outside the oracle's B_(r + 1) lie beyond r
+    want = [dist.get(row, r + 1) for row in rows]
+    assert [word_distance(k, row, r) for row in rows] == [d if d <= r else None for d in want]
+    assert _ball_distances(k, rows, r).tolist() == [d if d <= r else -1 for d in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ball_window_holds_the_oracle_ball(k):
+    # both searches treat rows outside this window as beyond r
+    rows, dists, _ = _referee_rows(k)
+    for r in range(REFEREE_RADIUS[k] + 1):
+        assert _ball_window(k, r).contains(np.array(rows)[dists <= r]).all()
+
+
 def test_word_distance_bidirectional_regime():
-    # radius above 8 switches to meet-in-the-middle; check against the
-    # unidirectional answer on a known central power
+    # a radius beyond the block search of poincare._rhs_window, on a known
+    # central power
     assert word_distance(1, (0, 0, 9), 12) == 12  # 4 sqrt(9) = 12
 
 

@@ -401,6 +401,8 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "LP relaxation supports at most 16 points, got 17"),
         (["sparsest-cut", "--random", "21,1", "--solver", "sdp"],
          "SDP relaxation supports at most 20 points, got 21"),
+        (["poincare", "--k", "1", "--set", "box(2,2,2)", "--values=0,2000000000000000"],
+         "value range has at most 2^50 integers, got 2000000000000001"),
     ],
     ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
          "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan",
@@ -417,7 +419,8 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "c1-demo-search-3000000", "box-profile-workers-65",
          "nm-workers-65", "voxelize-workers-100000", "c1-demo-cycle-3000000",
          "c1-demo-path-1025", "c1-demo-random-1025", "c1-demo-bipartite-1025",
-         "c1-demo-ball-2845", "c1-demo-ball-1-40", "c1-demo-ball-1-22", "sparsest-opt-3000000", "sparsest-lp-17", "sparsest-sdp-21"],
+         "c1-demo-ball-2845", "c1-demo-ball-1-40", "c1-demo-ball-1-22", "sparsest-opt-3000000",
+         "sparsest-lp-17", "sparsest-sdp-21", "poincare-values-wide"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
     tracemalloc.start()

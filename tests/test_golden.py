@@ -6,7 +6,8 @@ or the perimeter routes must leave every byte of these files unchanged.
 The two further ``poincare`` cases were recorded before the rhs window of
 ``local_poincare`` moved to one shared ball search: ``poincare-box-k2``
 has R = 4 at k = 2, and ``poincare-default-alpha`` has R = 21, beyond the
-one-sided search, so it pins the per-row bidirectional route.
+block search of ``poincare._rhs_window``, so it pins the per-row route of
+one meet-in-the-middle ``word_distance`` search per row.
 ``poincare-blob-k2`` (irregular k = 2 columns, negative values, no local
 sides) was recorded before lattice functions moved from a dict of tuples
 to ``FiniteSet`` rows plus a value array.

@@ -96,11 +96,12 @@ def test_key_window_overflow_is_refused():
     far = (2**40, 2**40, 0)
     with pytest.raises(ResourceCapError) as set_err:
         FiniteSet(1, [(0, 0, 0), far])
-    # the bidirectional search packs keys over a window holding 1 and far
+    # the window of B_(2^16) has more than 2^63 keys, and the search refuses it
     with pytest.raises(ResourceCapError) as bfs_err:
-        word_distance(1, far, 9)
+        word_distance(1, (1, 0, 0), 2**16)
     assert str(set_err.value) == str(bfs_err.value)
-    # the one-sided search packs over the ball's own window, which far leaves
+    # far lies outside the window of B_9 and B_2, so its distance exceeds both
+    assert word_distance(1, far, 9) is None
     assert word_distance(1, far, 2) is None
     # a window of 2^62 keys fits; each isolated point exits along every move
     S = FiniteSet(1, [(0, 0, 0), (2**31 - 1, 2**31 - 1, 0)])

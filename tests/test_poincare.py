@@ -182,8 +182,9 @@ def test_rhs_window_matches_per_row_oracle(k, size, seed, R):
 
 
 def test_rhs_window_bidirectional_regime():
-    # R = 10 keeps the per-row bidirectional search; about 100 of the rows
-    # it settles lie in the ball without a word-length bound showing it
+    # R = 10 lies beyond the block search, so each open row gets its own
+    # meet-in-the-middle search; about 100 of the rows it settles lie in
+    # the ball without a word-length bound showing it
     S = box_set(1, 3, 3, 16)
     got = _rhs_window(LatticeFunction.indicator(S), 10)
     assert np.array_equal(got, _window_oracle(1, S.rows, 10))
