@@ -34,6 +34,12 @@ and before the line estimator traced whole blocks of lines at once.
 the quasi-norm sums eight coordinates) were recorded before membership
 tests summed rows by column chains and the box tested each shifted pair
 once.
+
+``poincare-column`` was recorded before the vertical spectrum moved from
+one bitset per column to runs of consecutive w.  Its coarea level sets
+are random subsets of one column of height 3,000, so each column holds
+hundreds of runs, and the spectrum takes the bitset route kept for such
+fragmented columns, while the indicator's one whole column takes the runs.
 """
 
 import hashlib
@@ -112,6 +118,13 @@ GOLDEN = {
         {
             "poincare.json": "084597a305e1eceec2f3581264097e8a74dc18248b7a9e34187756dd87e23e0a",
             "run_record.json": "9bdb4118b95aca5ebea9443e478d07f99e3185f272ef9a7516775f93ec1cfea2",
+        },
+    ),
+    "poincare-column": (
+        ["poincare", "--k", "1", "--set", "column(3000)", "--values=-1,2", "--seed", "1"],
+        {
+            "poincare.json": "5f7f204e0f7188235cccef7b8301f41bc1e9c68c260c112d0b3d7568801aa707",
+            "run_record.json": "8797b9e90529732a7a92385e35fabb9e27f4bda20ff23ebd7ca4dcd3ef03f43f",
         },
     ),
     "voxelize": (
