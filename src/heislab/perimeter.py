@@ -75,6 +75,27 @@ class KeyWindow:
             key = key * self.spans[j] + (rows[:, j] - self.lows[j])
         return key
 
+    def step(self, rows: np.ndarray, keys: np.ndarray, j: int):
+        """(stays, moved): which rows, right-multiplied by the positive
+        generator j < 2k of generator_step, stay in the box, and the keys
+        they move to, from their own keys.
+
+        a_i adds stride(x_i); b_i adds stride(y_i) + x_i, since w is the
+        last digit.  Only the coordinates that change are tested, and the
+        offset is added only to rows that stay, so no sum can wrap.
+        """
+        k = (len(self.spans) - 1) // 2
+        i, is_b = divmod(j, 2)
+        c = k + i if is_b else i
+        stays = rows[:, c] < self.highs[c]
+        offset = int(np.prod(self.spans[c + 1 :]))
+        if not is_b:
+            return stays, keys[stays] + offset
+        x = rows[:, i]
+        dw = rows[:, 2 * k] - self.lows[2 * k]  # w + x stays in the box iff
+        stays &= (x >= -dw) & (x < self.spans[2 * k] - dw)  # -dw <= x < span - dw
+        return stays, keys[stays] + offset + x[stays]
+
 
 def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
     """Rows right-multiplied by generator j of the 4k standard generators,
@@ -141,12 +162,6 @@ class FiniteSet:
         pos[np.flatnonzero(inside)[hit]] = at[hit]
         return pos
 
-    def columns(self) -> list:
-        """Sorted w-values of each column, as slices of the sorted rows."""
-        xy = self.rows[:, : 2 * self.k]
-        cuts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
-        return np.split(self.rows[:, 2 * self.k], cuts)
-
     def to_text(self) -> str:
         """One element text line per member, in lexicographic order."""
         line = row_format(self.k) + "\n"
@@ -154,11 +169,18 @@ class FiniteSet:
 
 
 def horizontal_perimeter(S: FiniteSet) -> int:
-    """|bd_h S|: ordered pairs leaving S along one generator step."""
-    return sum(
-        int(np.count_nonzero(S.locate(generator_step(S.k, S.rows, j)) < 0))
-        for j in range(4 * S.k)
-    )
+    """|bd_h S|: ordered pairs leaving S along one generator step.
+
+    g -> g s maps the members whose s-neighbour is in S onto those whose
+    s^-1-neighbour is, so each inverse generator leaves S as often as its
+    generator and only the 2k positive ones are counted, by key offsets.
+    """
+    leaving = 0
+    for j in range(2 * S.k):
+        _, moved = S.window.step(S.rows, S.keys, j)
+        at = np.minimum(np.searchsorted(S.keys, moved), S.size - 1)
+        leaving += S.size - int(np.count_nonzero(S.keys[at] == moved))
+    return 2 * leaving
 
 
 @dataclass
@@ -179,6 +201,37 @@ class VerticalSpectrum:
         return l2_with_tail(self.head, 2 * self.size)
 
 
+class ColumnRuns:
+    """The column split of a FiniteSet: its sorted rows cut into columns,
+    where (x, y) changes, and into runs, where w does not step by 1.
+
+    Both cuts are read off the packed keys: w is their last digit, so a key
+    one above its predecessor continues the run unless that digit wraps
+    to 0, which starts a new column.
+    """
+
+    def __init__(self, S: FiniteSet):
+        column, w = np.divmod(S.keys, S.window.spans[-1])
+        first = np.flatnonzero((np.diff(S.keys) != 1) | (w[1:] == 0)) + 1
+        self.first = np.concatenate(([0], first, [S.size]))  # row bounds of the runs
+        self.start = w[self.first[:-1]]  # w offset where each run starts
+        self.length = np.diff(self.first)
+        run_col = column[self.first[:-1]]
+        new = np.concatenate(([True], run_col[1:] != run_col[:-1]))
+        self.column = np.cumsum(new) - 1  # column of each run
+        self.bounds = np.append(np.flatnonzero(new), len(new))  # run bounds of the columns
+        last = self.bounds[1:] - 1
+        self.spans = self.start[last] + self.length[last] - 1 - self.start[self.bounds[:-1]]
+        self.T0 = int(self.spans.max())
+
+
+# a column of R runs whose R(R-1)/2 cross-run pairs exceed _BITSET_RATIO
+# pairs per jump of its span takes the bitset route
+_BITSET_RATIO = 2
+# cross-run pairs scattered at once, which bounds the temporaries
+_CHUNK_PAIRS = 1 << 18
+
+
 def _column_overlaps(ws: np.ndarray) -> np.ndarray:
     """|{w : w, w+t in the column}| for t = 1..span, from the overlap of the
     column's bitset with its shifts."""
@@ -192,16 +245,62 @@ def _column_overlaps(ws: np.ndarray) -> np.ndarray:
     )
 
 
+def _within_runs(lengths: np.ndarray, T0: int) -> np.ndarray:
+    """Pairs (w, w+t) inside one run, for t = 0..T0: a run of length L
+    holds max(0, L - t), summed from the histogram of L by two reversed
+    cumulative sums."""
+    count = np.bincount(lengths, minlength=T0 + 2)
+    longer = np.cumsum(count[::-1])[::-1][1:]  # runs with L > t
+    mass = np.cumsum((count * np.arange(T0 + 2))[::-1])[::-1][1:]  # their sum of L
+    return mass - np.arange(T0 + 1) * longer
+
+
+def _across_runs(runs: ColumnRuns, kept: np.ndarray, T0: int) -> np.ndarray:
+    """Pairs (w, w+t) from a run to a later run of its column, for
+    t = 0..T0 + 2, over the runs in kept.
+
+    The pairs of runs i < j form a trapezoid in t whose second difference
+    is +1 at d and d + L_i + L_j and -1 at d + L_i and d + L_j, where
+    d = s_j - e_i; the spikes of all (i, j) are scattered, a bounded chunk
+    of pairs at a time, and summed twice.
+    """
+    partners = runs.bounds[1:][runs.column[kept]] - kept - 1
+    ends = np.cumsum(partners)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, total, _CHUNK_PAIRS), side="right")
+    spikes = np.zeros(T0 + 3, dtype=np.int64)
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(kept)]):
+        n = partners[a:b]
+        if not n.any():
+            continue
+        i = np.repeat(kept[a:b], n)
+        firsts = ends[a:b] - n
+        j = i + 1 + np.arange(firsts[0], ends[b - 1]) - np.repeat(firsts, n)
+        Li, Lj = runs.length[i], runs.length[j]
+        d = runs.start[j] - runs.start[i] - Li + 1
+        spikes += np.bincount(np.concatenate([d, d + Li + Lj]), minlength=T0 + 3)
+        spikes -= np.bincount(np.concatenate([d + Li, d + Lj]), minlength=T0 + 3)
+    return np.cumsum(np.cumsum(spikes))
+
+
 def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
-    """|bd_v^t| = 2|S| minus twice the pairs (w, w+t) inside one column."""
-    cols = S.columns()
-    T0 = max(int(ws[-1] - ws[0]) for ws in cols)
-    overlap = np.zeros(T0, dtype=np.int64)
-    for ws in cols:
-        if len(ws) > 1:
-            o = _column_overlaps(ws)
-            overlap[: len(o)] += o
-    return VerticalSpectrum(S.size, T0, 2 * (S.size - overlap))
+    """|bd_v^t| = 2|S| minus twice the pairs (w, w+t) inside one column.
+
+    The pairs come from runs of consecutive w, inside a run and across two
+    runs of a column; a column whose cross-run pairs would outnumber its
+    jumps by _BITSET_RATIO takes the bitset route instead.
+    """
+    runs = ColumnRuns(S)
+    T0 = runs.T0
+    R = np.diff(runs.bounds)
+    bitset = R * (R - 1) / 2 > _BITSET_RATIO * (runs.spans + 1.0)
+    kept = np.flatnonzero(~bitset[runs.column])
+    overlap = _within_runs(runs.length[kept], T0) + _across_runs(runs, kept, T0)[: T0 + 1]
+    w = S.rows[:, 2 * S.k]
+    for c in np.flatnonzero(bitset).tolist():
+        lo, hi = runs.first[runs.bounds[c]], runs.first[runs.bounds[c + 1]]
+        overlap[1 : runs.spans[c] + 1] += _column_overlaps(w[lo:hi])
+    return VerticalSpectrum(S.size, T0, 2 * (S.size - overlap[1:]))
 
 
 def _psi1_exact(m: int) -> float:
@@ -315,13 +414,24 @@ def random_blob(k: int, size: int, seed: int) -> FiniteSet:
 
 _SPEC_RE = re.compile(r"^\s*(box|ball|column|random_blob|singleton)\s*(?:\(([^)]*)\))?\s*$")
 
+# most points a box, column or random_blob spec may name: isoperim on the
+# largest such box, column, or blob at k <= 3 peaks under 2 GiB of RSS
+MAX_SPEC_POINTS = 2_000_000
+
+
+def _cap_points(count: int, exact: bool = True) -> None:
+    if count > MAX_SPEC_POINTS:
+        got = f"{'' if exact else 'at least '}{count}"
+        raise ValidationError(f"a set spec names at most {MAX_SPEC_POINTS} points, got {got}")
+
 
 def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
     """Build a set from a compact spec string.
 
     Forms: box(a,b,h), ball(r), column(h), random_blob(size) or
     random_blob(size,seed), singleton.  random_blob without an explicit
-    seed requires one passed in.
+    seed requires one passed in.  A box, column or blob of more than
+    MAX_SPEC_POINTS points is refused from its count, before it is built.
     """
     m = _SPEC_RE.match(text)
     if not m:
@@ -333,6 +443,9 @@ def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
     if kind == "box":
         if len(args) != 3:
             raise ValidationError("box takes (a,b,h)")
+        a, b, h = args
+        if min(args) >= 1:  # past k = 64 a base a b >= 2 is over the cap
+            _cap_points(h * (a * b) ** min(k, 64), a * b == 1 or k <= 64)
         return box_set(k, *args)
     if kind == "ball":
         if len(args) != 1:
@@ -341,7 +454,10 @@ def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
     if kind == "column":
         if len(args) != 1:
             raise ValidationError("column takes (h)")
+        _cap_points(args[0])
         return column_set(k, args[0])
+    if args:
+        _cap_points(args[0])
     if len(args) == 2:
         return random_blob(k, args[0], require_seed(args[1], "random_blob seed"))
     if len(args) == 1:

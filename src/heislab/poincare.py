@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .perimeter import (
+    ColumnRuns,
     FiniteSet,
     generator_step,
     horizontal_perimeter,
@@ -137,7 +138,7 @@ def _vertical_sums(phi: LatticeFunction):
     """(A, mass): A[t - 1] = _pair_sum for s = c^t, t = 1..T0, the largest
     column span of the support, and mass = 2 sum |phi|, the value of A(t)
     for every t > T0."""
-    T0 = max(int(ws[-1] - ws[0]) for ws in phi.S.columns())
+    T0 = ColumnRuns(phi.S).T0
     A = np.zeros(T0)
     up = phi.S.rows.copy()
     for t in range(1, T0 + 1):

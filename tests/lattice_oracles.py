@@ -116,14 +116,31 @@ def coset_partition(A, S: FiniteSet) -> dict:
     }
 
 
+def columns(S: FiniteSet) -> list:
+    """Sorted w-values of each column, as slices of the sorted rows."""
+    xy = S.rows[:, : 2 * S.k]
+    cuts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
+    return np.split(S.rows[:, 2 * S.k], cuts)
+
+
 def vertical_t_count(S, t: int) -> int:
     """|bd_v^t S| by the column-gap formula 2(|S| - #{w in S : w + t in S})."""
     if t < 1:
         raise ValidationError("vertical jump must be >= 1")
     matches = 0
-    for ws in S.columns():
+    for ws in columns(S):
         matches += int(np.intersect1d(ws + t, ws, assume_unique=True).size)
     return 2 * (S.size - matches)
+
+
+def spectrum_by_differences(S: FiniteSet, t_max: int) -> np.ndarray:
+    """|bd_v^t S| for t = 1..t_max, from a bincount of every pairwise w
+    difference inside each column."""
+    pairs = np.zeros(t_max + 1, dtype=np.int64)
+    for ws in columns(S):
+        d = np.subtract.outer(ws, ws).ravel()
+        pairs += np.bincount(d[(d > 0) & (d <= t_max)], minlength=t_max + 1)
+    return 2 * (S.size - pairs[1:])
 
 
 def vertical_t_count_direct(S, t: int) -> int:

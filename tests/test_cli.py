@@ -403,6 +403,18 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "SDP relaxation supports at most 20 points, got 21"),
         (["poincare", "--k", "1", "--set", "box(2,2,2)", "--values=0,2000000000000000"],
          "value range has at most 2^50 integers, got 2000000000000001"),
+        (["isoperim", "--k", "1", "--set", "box(5000,5000,5000)"],
+         "a set spec names at most 2000000 points, got 125000000000"),
+        (["isoperim", "--k", "1", "--set", "column(1000000000000)"],
+         "a set spec names at most 2000000 points, got 1000000000000"),
+        (["isoperim", "--k", "1", "--set", "random_blob(1000000000,1)"],
+         "a set spec names at most 2000000 points, got 1000000000"),
+        (["isoperim", "--k", "2", "--set", "column(2000001)"],
+         "a set spec names at most 2000000 points, got 2000001"),
+        (["isoperim", "--k", "65", "--set", "box(2,1,1)"],
+         "a set spec names at most 2000000 points, got at least 18446744073709551616"),
+        (["poincare", "--k", "1", "--set", "random_blob(2000001)", "--seed", "1"],
+         "a set spec names at most 2000000 points, got 2000001"),
     ],
     ids=["nm-steps-0", "nm-radius-0", "nm-radius-nan", "nm-radius-negative",
          "nm-steps-negative", "box-profile-r-negative", "voxelize-h-nan",
@@ -420,7 +432,9 @@ BOX = ["box-profile", "--k", "1", "--r", "1"]
          "nm-workers-65", "voxelize-workers-100000", "c1-demo-cycle-3000000",
          "c1-demo-path-1025", "c1-demo-random-1025", "c1-demo-bipartite-1025",
          "c1-demo-ball-2845", "c1-demo-ball-1-40", "c1-demo-ball-1-22", "sparsest-opt-3000000",
-         "sparsest-lp-17", "sparsest-sdp-21", "poincare-values-wide"],
+         "sparsest-lp-17", "sparsest-sdp-21", "poincare-values-wide", "isoperim-box-5000",
+         "isoperim-column-10-to-the-12", "isoperim-blob-10-to-the-9", "isoperim-column-2000001",
+         "isoperim-box-k-65", "poincare-blob-2000001"],
 )
 def test_bad_numeric_flags_exit_2(tmp_path, capsys, argv, message):
     tracemalloc.start()

@@ -1,7 +1,9 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,21 +11,28 @@ from hypothesis import strategies as st
 from heislab.cayley import word_distance
 from heislab.errors import ResourceCapError, ValidationError
 from heislab.perimeter import (
+    _BITSET_RATIO,
+    _CHUNK_PAIRS,
+    ColumnRuns,
     FiniteSet,
+    KeyWindow,
     ball_set,
     box_set,
     column_set,
     default_corpus,
+    generator_step,
     horizontal_perimeter,
     parse_set_spec,
     random_blob,
     vertical_perimeter,
     vertical_spectrum,
 )
+from lattice_oracles import columns as lattice_columns
 from lattice_oracles import (
     embedded,
     horizontal_perimeter_direct,
     set_from_lines,
+    spectrum_by_differences,
     spectrum_count,
     vertical_t_count,
     vertical_t_count_direct,
@@ -149,6 +158,117 @@ def test_column_spectrum_is_linear():
     spec = vertical_spectrum(S)
     assert spec.T0 == 9
     assert spec.head.tolist() == [2 * t for t in range(1, 10)]
+
+
+def test_tall_column_spectrum_is_linear():
+    spec = vertical_spectrum(column_set(1, 200_000))
+    assert spec.T0 == 199_999
+    assert np.array_equal(spec.head, 2 * np.arange(1, 200_000))
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+# (height, density, seed) of one random column: few runs, or many runs in
+# a short span, so that each side of the route rule is drawn
+RUNS_COLUMN = st.tuples(
+    st.integers(1, 2000), st.one_of(st.floats(0, 0.01), st.floats(0.99, 1)), SEEDS
+)
+BITSET_COLUMN = st.tuples(st.integers(400, 2000), st.floats(0.2, 0.8), SEEDS)
+ANY_COLUMN = st.tuples(st.integers(1, 2000), st.floats(0, 1), SEEDS)
+COLUMNS = {
+    "runs": st.lists(RUNS_COLUMN, min_size=1, max_size=4),
+    "bitset": st.lists(BITSET_COLUMN, min_size=1, max_size=3),
+    "both": st.tuples(RUNS_COLUMN, BITSET_COLUMN, st.lists(ANY_COLUMN, max_size=2)).map(
+        lambda c: [c[0], c[1], *c[2]]
+    ),
+}
+
+
+def _column_set(k: int, columns) -> FiniteSet:
+    """One random column per (height, density, seed), side by side in x_1
+    and y_k, each with at least its lowest point."""
+    blocks = []
+    for c, (height, density, seed) in enumerate(columns):
+        ws = np.flatnonzero(np.random.default_rng(seed).random(height) < density)
+        block = np.zeros((max(len(ws), 1), 2 * k + 1), dtype=np.int64)
+        block[:, 0], block[:, 2 * k - 1] = c // 2, c % 2
+        block[: len(ws), 2 * k] = ws
+        blocks.append(block)
+    return FiniteSet(k, np.concatenate(blocks))
+
+
+def _bitset_columns(S: FiniteSet) -> np.ndarray:
+    runs = ColumnRuns(S)
+    R = np.diff(runs.bounds)
+    return R * (R - 1) / 2 > _BITSET_RATIO * (runs.spans + 1.0)
+
+
+@pytest.mark.parametrize("route", sorted(COLUMNS))
+@given(data=st.data(), k=st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_spectrum_matches_pairwise_differences(route, data, k):
+    S = _column_set(k, data.draw(COLUMNS[route]))
+    bitset = _bitset_columns(S)
+    assert {"runs": not bitset.any(), "bitset": bitset.all(),
+            "both": bitset.any() and not bitset.all()}[route]
+    spec = vertical_spectrum(S)
+    want = spectrum_by_differences(S, spec.T0 + 1)
+    assert spec.T0 == max(int(ws[-1] - ws[0]) for ws in lattice_columns(S))
+    assert [spectrum_count(spec, t) for t in range(1, spec.T0 + 2)] == want.tolist()
+
+
+@pytest.mark.parametrize("k,a,b", [(1, 1, 1), (1, 3, 2), (2, 2, 3), (3, 2, 2)])
+def test_spectrum_of_flat_boxes(k, a, b):
+    # every column is one point, so T0 = 0 and the head is empty
+    S = box_set(k, a, b, 1)
+    spec = vertical_spectrum(S)
+    assert spec.T0 == 0 and spec.head.size == 0
+    assert spectrum_count(spec, 1) == spectrum_by_differences(S, 1)[0] == 2 * S.size
+
+
+def test_cross_run_pairs_in_chunks_stay_bounded():
+    # 40 columns of 300 points at square w: each holds 44,850 cross-run
+    # pairs, too few for the bitset route, and all hold about 7 chunks
+    rows = np.zeros((40 * 300, 3), dtype=np.int64)
+    rows[:, 0] = np.repeat(np.arange(40), 300)
+    rows[:, 2] = np.tile(np.arange(300) ** 2, 40)
+    S = FiniteSet(1, rows)
+    assert not _bitset_columns(S).any() and 40 * 300 * 299 // 2 > 6 * _CHUNK_PAIRS
+    tracemalloc.start()
+    try:
+        spec = vertical_spectrum(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20  # all pairs at once would take over 150 MiB
+    assert np.array_equal(spec.head, spectrum_by_differences(S, spec.T0))
+
+
+def _face_rows(window: KeyWindow, seed: int) -> np.ndarray:
+    """Rows inside the window with every coordinate in turn on its lower and
+    its upper face, the others uniform, plus both corners."""
+    rng = np.random.default_rng(seed)
+    lows, highs = window.lows, window.highs
+    rows = [lows, highs]
+    for c in range(len(lows)):
+        for bound in (lows[c], highs[c]):
+            block = rng.integers(lows, highs + 1, size=(20, len(lows)))
+            block[:, c] = bound
+            rows.append(block)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_key_window_step_matches_generator_step(k):
+    rng = np.random.default_rng(k)
+    for trial in range(5):
+        lows = rng.integers(-6, 3, size=2 * k + 1)
+        window = KeyWindow(lows, lows + rng.integers(0, 5, size=2 * k + 1))
+        rows = _face_rows(window, trial)
+        for j in range(2 * k):
+            stays, moved = window.step(rows, window.pack(rows), j)
+            stepped = generator_step(k, rows, j)
+            assert np.array_equal(stays, window.contains(stepped))
+            assert np.array_equal(moved, window.pack(stepped[stays]))
 
 
 def test_box_set_size_and_ratio():
