@@ -7,17 +7,30 @@ the set's own bounding box, so looking up a block of rows is one
 and for the searches of ``cayley``.  ``generator_step`` is the one
 generator action: it right-multiplies every row of a block by one
 standard generator, and every neighbour in the package, random_blob's
-included, comes from it.
+included, comes from it.  ``KeyWindow.step`` is the same action on keys:
+a positive generator adds a fixed offset, plus x_i for b_i, to the keys
+of the rows that stay in the box.
 ``group.DiscreteElement.__mul__`` stays only as the scalar reference
 for the tests and for ``perfbench/tracer.py``.
 
 A finite set Omega splits into columns: fibers over the horizontal
 coordinates (x, y), each a finite set of w-values.  The horizontal
 boundary counts ordered pairs (g, g') with g in Omega, g' outside, and
-g^-1 g' a standard generator.  The vertical boundary at jump t counts
-ordered pairs whose quotient is c^t or c^-t; it is computable column by
-column, since central multiplication only shifts w.  The vertical
-perimeter aggregates the jump spectrum in an l2 sense:
+g^-1 g' a standard generator.  g -> g s pairs the members whose
+s-neighbour is in Omega with those whose s^-1-neighbour is, so it is
+twice the sum over the 2k positive generators of the members whose step
+misses Omega, each step one key offset and one ``searchsorted``.
+
+The vertical boundary at jump t counts ordered pairs whose quotient is
+c^t or c^-t; it is computable column by column, since central
+multiplication only shifts w.  ``ColumnRuns`` cuts the sorted keys into
+columns and into runs of consecutive w.  A run of length L holds
+max(0, L - t) pairs (w, w + t); the pairs between two runs of a column
+form a trapezoid in t with a second difference of four spikes, so all
+of them are scattered and summed twice, in int64.  A column with many
+short runs in a short span, whose cross-run pairs would outnumber its
+jumps, takes its own bitset instead.  The vertical perimeter aggregates
+the jump spectrum in an l2 sense:
 
     vperim(Omega)^2 = sum_{t >= 1} |bd_v^t Omega|^2 / t^2.
 
@@ -75,10 +88,9 @@ class KeyWindow:
             key = key * self.spans[j] + (rows[:, j] - self.lows[j])
         return key
 
-    def step(self, rows: np.ndarray, keys: np.ndarray, j: int):
-        """(stays, moved): which rows, right-multiplied by the positive
-        generator j < 2k of generator_step, stay in the box, and the keys
-        they move to, from their own keys.
+    def step(self, rows: np.ndarray, keys: np.ndarray, j: int) -> np.ndarray:
+        """Keys of the rows that stay in the box when right-multiplied by
+        the positive generator j < 2k of generator_step, from their keys.
 
         a_i adds stride(x_i); b_i adds stride(y_i) + x_i, since w is the
         last digit.  Only the coordinates that change are tested, and the
@@ -90,11 +102,11 @@ class KeyWindow:
         stays = rows[:, c] < self.highs[c]
         offset = int(np.prod(self.spans[c + 1 :]))
         if not is_b:
-            return stays, keys[stays] + offset
+            return keys[stays] + offset
         x = rows[:, i]
-        dw = rows[:, 2 * k] - self.lows[2 * k]  # w + x stays in the box iff
-        stays &= (x >= -dw) & (x < self.spans[2 * k] - dw)  # -dw <= x < span - dw
-        return stays, keys[stays] + offset + x[stays]
+        dw = rows[:, 2 * k] - self.lows[2 * k]
+        stays &= (x >= -dw) & (x < self.spans[2 * k] - dw)  # w + x stays in the box
+        return keys[stays] + offset + x[stays]
 
 
 def generator_step(k: int, rows: np.ndarray, j: int) -> np.ndarray:
@@ -177,7 +189,7 @@ def horizontal_perimeter(S: FiniteSet) -> int:
     """
     leaving = 0
     for j in range(2 * S.k):
-        _, moved = S.window.step(S.rows, S.keys, j)
+        moved = S.window.step(S.rows, S.keys, j)
         at = np.minimum(np.searchsorted(S.keys, moved), S.size - 1)
         leaving += S.size - int(np.count_nonzero(S.keys[at] == moved))
     return 2 * leaving
@@ -245,30 +257,24 @@ def _column_overlaps(ws: np.ndarray) -> np.ndarray:
     )
 
 
-def _within_runs(lengths: np.ndarray, T0: int) -> np.ndarray:
-    """Pairs (w, w+t) inside one run, for t = 0..T0: a run of length L
-    holds max(0, L - t), summed from the histogram of L by two reversed
-    cumulative sums."""
-    count = np.bincount(lengths, minlength=T0 + 2)
-    longer = np.cumsum(count[::-1])[::-1][1:]  # runs with L > t
-    mass = np.cumsum((count * np.arange(T0 + 2))[::-1])[::-1][1:]  # their sum of L
-    return mass - np.arange(T0 + 1) * longer
+def _pair_spikes(runs: ColumnRuns, kept: np.ndarray, T0: int) -> np.ndarray:
+    """Second difference in t, for t = 0..T0 + 2, of the count of pairs
+    (w, w+t) in one column, over the runs in kept.
 
-
-def _across_runs(runs: ColumnRuns, kept: np.ndarray, T0: int) -> np.ndarray:
-    """Pairs (w, w+t) from a run to a later run of its column, for
-    t = 0..T0 + 2, over the runs in kept.
-
-    The pairs of runs i < j form a trapezoid in t whose second difference
-    is +1 at d and d + L_i + L_j and -1 at d + L_i and d + L_j, where
-    d = s_j - e_i; the spikes of all (i, j) are scattered, a bounded chunk
-    of pairs at a time, and summed twice.
+    A run of length L holds max(0, L - t) pairs: +L at 0, -(L + 1) at 1
+    and +1 at L + 1, the last from the histogram of L.  The pairs of runs
+    i < j form a trapezoid: +1 at d and d + L_i + L_j, -1 at d + L_i and
+    d + L_j, where d = s_j - e_i; these are scattered for a bounded chunk
+    of (i, j) at a time.
     """
+    L = runs.length[kept]
+    spikes = np.bincount(L + 1, minlength=T0 + 3)
+    spikes[0] += L.sum()
+    spikes[1] -= L.sum() + len(L)
     partners = runs.bounds[1:][runs.column[kept]] - kept - 1
     ends = np.cumsum(partners)
     total = int(ends[-1]) if len(ends) else 0
     cuts = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, total, _CHUNK_PAIRS), side="right")
-    spikes = np.zeros(T0 + 3, dtype=np.int64)
     for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(kept)]):
         n = partners[a:b]
         if not n.any():
@@ -280,7 +286,7 @@ def _across_runs(runs: ColumnRuns, kept: np.ndarray, T0: int) -> np.ndarray:
         d = runs.start[j] - runs.start[i] - Li + 1
         spikes += np.bincount(np.concatenate([d, d + Li + Lj]), minlength=T0 + 3)
         spikes -= np.bincount(np.concatenate([d + Li, d + Lj]), minlength=T0 + 3)
-    return np.cumsum(np.cumsum(spikes))
+    return spikes
 
 
 def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
@@ -291,16 +297,15 @@ def vertical_spectrum(S: FiniteSet) -> VerticalSpectrum:
     jumps by _BITSET_RATIO takes the bitset route instead.
     """
     runs = ColumnRuns(S)
-    T0 = runs.T0
     R = np.diff(runs.bounds)
     bitset = R * (R - 1) / 2 > _BITSET_RATIO * (runs.spans + 1.0)
     kept = np.flatnonzero(~bitset[runs.column])
-    overlap = _within_runs(runs.length[kept], T0) + _across_runs(runs, kept, T0)[: T0 + 1]
+    overlap = np.cumsum(np.cumsum(_pair_spikes(runs, kept, runs.T0)))[1 : runs.T0 + 1]
     w = S.rows[:, 2 * S.k]
     for c in np.flatnonzero(bitset).tolist():
         lo, hi = runs.first[runs.bounds[c]], runs.first[runs.bounds[c + 1]]
-        overlap[1 : runs.spans[c] + 1] += _column_overlaps(w[lo:hi])
-    return VerticalSpectrum(S.size, T0, 2 * (S.size - overlap[1:]))
+        overlap[: runs.spans[c]] += _column_overlaps(w[lo:hi])
+    return VerticalSpectrum(S.size, runs.T0, 2 * (S.size - overlap))
 
 
 def _psi1_exact(m: int) -> float:
