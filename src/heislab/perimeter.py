@@ -421,13 +421,13 @@ _SPEC_RE = re.compile(r"^\s*(box|ball|column|random_blob|singleton)\s*(?:\(([^)]
 
 # most points a box, column or random_blob spec may name: isoperim on the
 # largest such box, column, or blob at k <= 3 peaks under 2 GiB of RSS
-MAX_SPEC_POINTS = 2_000_000
+_MAX_SPEC_POINTS = 2_000_000
 
 
 def _cap_points(count: int, exact: bool = True) -> None:
-    if count > MAX_SPEC_POINTS:
+    if count > _MAX_SPEC_POINTS:
         got = f"{'' if exact else 'at least '}{count}"
-        raise ValidationError(f"a set spec names at most {MAX_SPEC_POINTS} points, got {got}")
+        raise ValidationError(f"a set spec names at most {_MAX_SPEC_POINTS} points, got {got}")
 
 
 def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
@@ -436,7 +436,7 @@ def parse_set_spec(k: int, text: str, seed: int | None = None) -> FiniteSet:
     Forms: box(a,b,h), ball(r), column(h), random_blob(size) or
     random_blob(size,seed), singleton.  random_blob without an explicit
     seed requires one passed in.  A box, column or blob of more than
-    MAX_SPEC_POINTS points is refused from its count, before it is built.
+    2,000,000 points is refused from its count, before it is built.
     """
     m = _SPEC_RE.match(text)
     if not m:
